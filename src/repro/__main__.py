@@ -845,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def backend_flag(p):
         p.add_argument(
-            "--backend", default=None, choices=("default", "fast", "numba"),
+            "--backend", default=None, choices=("default", "fast"),
             help="array backend for the localizer hot path (overrides the "
             "scenario config and REPRO_BACKEND; see docs/PERFORMANCE.md)",
         )

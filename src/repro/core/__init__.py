@@ -23,7 +23,6 @@ iteration** with no ordering requirement:
 
 from repro.core.backend import (
     ArrayBackend,
-    BackendUnavailableError,
     FastNumpyBackend,
     NumpyBackend,
     ScratchPool,
@@ -62,7 +61,6 @@ from repro.core.diagnostics import (
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
     "FastNumpyBackend",
     "NumpyBackend",
     "ScratchPool",

@@ -4,10 +4,10 @@ Profiling the Table-1 cell (15000 particles, N = 196) shows the remaining
 wall is not numpy itself but *how* the kernels are driven: one Python
 round-trip per sensor in the weight path, ragged per-seed gathers and
 ``np.repeat`` copies in the truncated mean-shift, and a fresh temporary
-for every intermediate array.  An :class:`ArrayBackend` owns those four
+for every intermediate array.  An :class:`ArrayBackend` owns those
 kernels -- fused Poisson log-likelihood over a whole step's delivered
-measurements, disc-query gather, the segmented mean-shift reduction, and
-the resampling prefix-sum -- so the driver code (``weighting``,
+measurements, the segmented mean-shift reduction, and the resampling
+prefix-sum -- so the driver code (``weighting``,
 ``resampling``, ``estimator``, ``localizer``) stays backend-agnostic:
 
 * :class:`NumpyBackend` (``"default"``) delegates to the float64
@@ -20,9 +20,6 @@ the resampling prefix-sum -- so the driver code (``weighting``,
   pool's allocation counter, surfaced as the
   ``backend.allocations_per_step`` metric).  Accelerated kernels carry a
   tolerance-based parity suite, not a bitwise one.
-* :class:`NumbaBackend` (``"numba"``) JIT-compiles the fused likelihood
-  when numba is importable; it is auto-detected at import time and
-  requesting it without numba raises :class:`BackendUnavailableError`.
 
 Selection precedence: CLI ``--backend`` (which overwrites the config
 field) > ``LocalizerConfig.backend`` > the ``REPRO_BACKEND`` environment
@@ -51,26 +48,13 @@ logger = logging.getLogger(__name__)
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Every selectable backend name, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("default", "fast", "numba")
+BACKEND_NAMES: Tuple[str, ...] = ("default", "fast")
 
 #: Compute dtype per backend (importable without instantiating anything).
 BACKEND_DTYPES: Dict[str, str] = {
     "default": "float64",
     "fast": "float32",
-    "numba": "float32",
 }
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # the supported degraded mode: numba stays optional
-    _numba = None
-
-#: True when the numba backend can actually compile (import-time probe).
-HAVE_NUMBA = _numba is not None
-
-
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this environment."""
 
 
 def resolve_backend_name(configured: Optional[str]) -> str:
@@ -91,11 +75,7 @@ def resolve_backend_name(configured: Optional[str]) -> str:
 
 def available_backends() -> Dict[str, bool]:
     """Name -> availability in this environment."""
-    return {
-        "default": True,
-        "fast": True,
-        "numba": HAVE_NUMBA,
-    }
+    return {name: True for name in BACKEND_NAMES}
 
 
 def get_backend(configured: Optional[str] = None) -> "ArrayBackend":
@@ -109,8 +89,6 @@ def get_backend(configured: Optional[str] = None) -> "ArrayBackend":
         return NumpyBackend()
     if name == "fast":
         return FastNumpyBackend()
-    if name == "numba":
-        return NumbaBackend()
     raise ValueError(f"unknown backend {name!r}")  # pragma: no cover
 
 
@@ -323,79 +301,6 @@ class ArrayBackend:
         cumulative = np.cumsum(weights / total)
         cumulative[-1] = 1.0
         return cumulative
-
-    # --- spatial queries -------------------------------------------------------
-
-    def multi_candidates_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched candidate query over many centers: CSR ``(indices, offsets)``.
-
-        Row ``i`` -- ``indices[offsets[i]:offsets[i+1]]`` -- holds the
-        grid candidates for center ``i`` (cells overlapping the disc's
-        bounding box, no distance test).  ``radius`` is a scalar or
-        per-center array.  The reference provider loops the scalar grid
-        query, so each row *is* the scalar result by construction;
-        accelerated providers answer the whole batch with one vectorized
-        ``searchsorted`` over the flattened (center, column) key set and
-        are array-equality-tested against this.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        if radii.ndim == 0:
-            radii = np.broadcast_to(radii, xs.shape)
-        offsets = np.zeros(len(xs) + 1, dtype=np.int64)
-        rows = []
-        for i in range(len(xs)):
-            row = grid.query_candidates(float(xs[i]), float(ys[i]), float(radii[i]))
-            rows.append(row)
-            offsets[i + 1] = offsets[i] + len(row)
-        indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        return indices, offsets
-
-    def multi_disc_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched exact disc query: CSR rows bit-identical to ``query_disc``.
-
-        Each row carries the exact float64 distance test and ascending
-        order of the scalar path, so batched fusion-range selection and
-        support queries keep the brute-force contract.  The reference
-        provider loops ``grid.query_disc``; accelerated providers batch
-        the whole thing and route the large buffers through their scratch
-        pools.
-
-        ``sort_rows=False`` relaxes the per-row ordering to *unspecified*
-        (contents still exact); kernel-gather callers that reduce over
-        each row use it to skip the ordering pass.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        if radii.ndim == 0:
-            radii = np.broadcast_to(radii, xs.shape)
-        offsets = np.zeros(len(xs) + 1, dtype=np.int64)
-        rows = []
-        for i in range(len(xs)):
-            row = grid.query_disc(float(xs[i]), float(ys[i]), float(radii[i]))
-            rows.append(row)
-            offsets[i + 1] = offsets[i] + len(row)
-        indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        return indices, offsets
 
     # --- estimation ------------------------------------------------------------
 
@@ -783,47 +688,6 @@ class FastNumpyBackend(ArrayBackend):
         cumulative[-1] = 1.0
         return cumulative
 
-    # --- spatial queries -------------------------------------------------------
-
-    def multi_candidates_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One vectorized searchsorted pass; rows array-equal to the scalar loop."""
-        return grid.query_candidates_batch(xs, ys, radius, pool=self.scratch)
-
-    #: Below this many centers the vectorized batch kernel's fixed
-    #: overhead (~40 array ops) exceeds the cost of just looping the
-    #: scalar query; mean-shift refill batches are typically 1-10 rows.
-    MIN_VECTORIZED_CENTERS = 12
-
-    def multi_disc_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched exact disc query through the scratch pool.
-
-        The distance test stays float64 inside the grid kernel, so each
-        CSR row is bit-identical to the scalar ``query_disc`` -- batching
-        changes the driving, not the arithmetic.  Returned arrays are
-        views into pool buffers (``gq.*``): valid until the next batched
-        query on this backend.  Tiny batches (fewer than
-        ``MIN_VECTORIZED_CENTERS``) fall back to the scalar loop, whose
-        per-center cost undercuts the vectorized kernel's setup.
-        """
-        if len(np.atleast_1d(xs)) < self.MIN_VECTORIZED_CENTERS:
-            return super().multi_disc_query(grid, xs, ys, radius, sort_rows)
-        return grid.query_disc_batch(
-            xs, ys, radius, pool=self.scratch, sort_rows=sort_rows
-        )
-
     # --- mean-shift ------------------------------------------------------------
 
     def meanshift_modes(
@@ -884,7 +748,7 @@ class FastNumpyBackend(ArrayBackend):
         np.copyto(w32, weights)
 
         idx_rows, counts, capacity = padded_candidate_rows(
-            grid, seeds, gather_radius, backend=self
+            grid, seeds, gather_radius
         )
         shape = (n_seeds, capacity)
         px = scratch.get("ms.px", shape, np.float32)
@@ -1029,16 +893,18 @@ class FastNumpyBackend(ArrayBackend):
             # after a jump says nothing about the contraction ratio.
             ratio_num = shift_x * shift_prev_x[rows] + shift_y * shift_prev_y[rows]
             ratio = ratio_num / np.maximum(moved_prev[rows], self._TINY_TOTAL)
-            gain = np.where(
+            aitken = (
                 ~finished
                 & ~boosted[rows]
                 & (moved_prev[rows] > 0)
                 & (moved_sq > boost_floor_sq)
                 & (ratio > 0)
-                & (ratio < np.float32(0.9)),
-                ratio / (np.float32(1.0) - ratio),
-                np.float32(0.0),
+                & (ratio < np.float32(0.9))
             )
+            # Divide only where the jump applies: elsewhere the ratio may
+            # be exactly 1 (a row creeping by the same float32 step twice).
+            gain = np.zeros_like(ratio)
+            np.divide(ratio, np.float32(1.0) - ratio, out=gain, where=aitken)
             # Cap the jump length: an uncapped extrapolation from two
             # large shifts can fly across a basin boundary and merge two
             # genuinely distinct modes.
@@ -1076,9 +942,8 @@ class FastNumpyBackend(ArrayBackend):
             retire = finished | shadowed
             refill = np.nonzero(~retire & (drift_sq > row_margin_sq[rows]))[0]
             if len(refill):
-                # One batched exact-disc gather for every drifted row
-                # (same disc filter padded_candidate_rows applies) instead
-                # of a scalar query per row.  In the straggler phase the
+                # Re-gather every drifted row (the same exact-disc gather
+                # as the initial fill).  In the straggler phase the
                 # margin doubles on each re-gather so long-travelling rows
                 # stop re-querying every bandwidth moved; with many rows
                 # live the margin stays tight, because one wide row widens
@@ -1092,15 +957,13 @@ class FastNumpyBackend(ArrayBackend):
                     grown_margin = np.minimum(row_margin[refill] * 2, cap)
                     row_margin[refill] = grown_margin
                     row_margin_sq[refill] = grown_margin * grown_margin
-                flat, flat_offsets = self.multi_disc_query(
+                fresh, lengths, _ = padded_candidate_rows(
                     grid,
-                    sx[refill].astype(np.float64),
-                    sy[refill].astype(np.float64),
+                    np.column_stack((sx[refill], sy[refill])),
                     radius + row_margin[refill].astype(np.float64),
-                    sort_rows=False,
                 )
                 gathers += len(refill)
-                widest = int(np.max(flat_offsets[1:] - flat_offsets[:-1]))
+                widest = int(lengths.max())
                 regrown = widest > capacity
                 if regrown:
                     # Outgrew the row capacity: regrow every matrix (rare
@@ -1118,10 +981,8 @@ class FastNumpyBackend(ArrayBackend):
                     t1 = scratch.get("ms.t1", shape, np.float32)
                     columns = scratch.get("ms.cols", (capacity,), np.int64)
                     np.copyto(columns, np.arange(capacity))
-                lengths = flat_offsets[1:] - flat_offsets[:-1]
+                fresh = fresh[:, :widest]
                 pad = columns[None, :widest] < lengths[:, None]
-                fresh = np.zeros((len(refill), widest), dtype=np.int64)
-                fresh[pad] = flat
                 idx_rows[refill, :widest] = fresh
                 idx_rows[refill, widest:] = 0
                 counts[refill] = lengths
@@ -1216,207 +1077,3 @@ class FastNumpyBackend(ArrayBackend):
         contributions = strength[None, :] / (1.0 + dx * dx + dy * dy)
         contributions *= np.exp(-exponents.astype(np.float32))
         return contributions.sum(axis=1, dtype=np.float64)
-
-
-if HAVE_NUMBA:  # pragma: no cover - requires an optional dependency
-
-    @_numba.njit(cache=True, parallel=True, fastmath=True)
-    def _numba_batch_log_likelihood(  # noqa: D103 - jitted kernel
-        xs, ys, strengths, sensor_x, sensor_y, counts, log_gamma, at_count,
-        scale, background, alpha, interference, credibility, out,
-    ):
-        n_delivered, n = out.shape
-        for b in _numba.prange(n_delivered):
-            count = counts[b]
-            for p in range(n):
-                dx = xs[p] - sensor_x[b]
-                dy = ys[p] - sensor_y[b]
-                rate = (
-                    scale * strengths[p] / (np.float32(1.0) + dx * dx + dy * dy)
-                    + background
-                    + interference[b]
-                )
-                if rate > 0.0:
-                    value = (
-                        count * np.log(rate) - rate - log_gamma[b]
-                    )
-                else:
-                    value = np.float32(0.0) if count == 0.0 else -np.inf
-                if alpha < 1.0 and rate < count:
-                    value = at_count[b] + alpha * (value - at_count[b])
-                if np.isfinite(value):
-                    value = credibility[b] * value
-                out[b, p] = value
-
-    @_numba.njit(cache=True)
-    def _numba_multi_disc_query(  # noqa: D103 - jitted kernel
-        sorted_cids, order, pxs, pys, cx, cy, radii, x0, y0, inv, n_cols, n_rows,
-    ):
-        n_centers = len(cx)
-        # Pass 1: candidate capacity (sum of per-column slice widths).
-        total_candidates = np.int64(0)
-        for i in range(n_centers):
-            cx_lo = np.int64(np.floor((cx[i] - radii[i] - x0) * inv))
-            cx_hi = np.int64(np.floor((cx[i] + radii[i] - x0) * inv))
-            cy_lo = np.int64(np.floor((cy[i] - radii[i] - y0) * inv))
-            cy_hi = np.int64(np.floor((cy[i] + radii[i] - y0) * inv))
-            if cx_hi < 0 or cy_hi < 0 or cx_lo >= n_cols or cy_lo >= n_rows:
-                continue
-            cx_lo = max(cx_lo, 0)
-            cy_lo = max(cy_lo, 0)
-            cx_hi = min(cx_hi, n_cols - 1)
-            cy_hi = min(cy_hi, n_rows - 1)
-            for col in range(cx_lo, cx_hi + 1):
-                base = col * n_rows
-                lo = np.searchsorted(sorted_cids, base + cy_lo)
-                hi = np.searchsorted(sorted_cids, base + cy_hi + 1)
-                total_candidates += hi - lo
-        out = np.empty(total_candidates, dtype=np.int64)
-        offsets = np.zeros(n_centers + 1, dtype=np.int64)
-        # Pass 2: exact disc filter + per-center ascending sort.
-        pos = np.int64(0)
-        for i in range(n_centers):
-            row_start = pos
-            cx_lo = np.int64(np.floor((cx[i] - radii[i] - x0) * inv))
-            cx_hi = np.int64(np.floor((cx[i] + radii[i] - x0) * inv))
-            cy_lo = np.int64(np.floor((cy[i] - radii[i] - y0) * inv))
-            cy_hi = np.int64(np.floor((cy[i] + radii[i] - y0) * inv))
-            if not (cx_hi < 0 or cy_hi < 0 or cx_lo >= n_cols or cy_lo >= n_rows):
-                cx_lo = max(cx_lo, 0)
-                cy_lo = max(cy_lo, 0)
-                cx_hi = min(cx_hi, n_cols - 1)
-                cy_hi = min(cy_hi, n_rows - 1)
-                r_sq = radii[i] * radii[i]
-                for col in range(cx_lo, cx_hi + 1):
-                    base = col * n_rows
-                    lo = np.searchsorted(sorted_cids, base + cy_lo)
-                    hi = np.searchsorted(sorted_cids, base + cy_hi + 1)
-                    for k in range(lo, hi):
-                        idx = order[k]
-                        dx = pxs[idx] - cx[i]
-                        dy = pys[idx] - cy[i]
-                        if dx * dx + dy * dy <= r_sq:
-                            out[pos] = idx
-                            pos += 1
-            row = out[row_start:pos]
-            row.sort()
-            offsets[i + 1] = pos
-        return out[:pos], offsets, total_candidates
-
-
-class NumbaBackend(FastNumpyBackend):
-    """JIT backend (``"numba"``): the fused likelihood as compiled loops.
-
-    Inherits every float32 SoA kernel from :class:`FastNumpyBackend` and
-    replaces the batched likelihood with a ``prange``-parallel compiled
-    kernel.  Auto-detected: constructing it without numba installed
-    raises :class:`BackendUnavailableError` (and ``get_backend`` surfaces
-    that to the CLI as a clear error instead of an import crash).
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not HAVE_NUMBA:
-            raise BackendUnavailableError(
-                "backend 'numba' requested but numba is not importable; "
-                "install numba or use --backend fast"
-            )
-        super().__init__()
-
-    def log_likelihood_batch(  # pragma: no cover - requires numba
-        self,
-        particles: "ParticleSet",
-        sensor_x: np.ndarray,
-        sensor_y: np.ndarray,
-        counts: np.ndarray,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: Optional[np.ndarray] = None,
-        credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        scratch = self.scratch
-        counts64 = np.asarray(counts, dtype=np.float64)
-        n_delivered = len(counts64)
-        xs32, ys32, st32 = self._position_mirrors(particles)
-        out = scratch.get(
-            "batch.out", (n_delivered, len(particles)), np.float32
-        )
-        log_gamma = gammaln(counts64 + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_count = np.where(
-                counts64 > 0.0,
-                counts64 * np.log(np.maximum(counts64, 1.0))
-                - counts64
-                - log_gamma,
-                0.0,
-            )
-        ones = np.ones(n_delivered, dtype=np.float32)
-        _numba_batch_log_likelihood(
-            xs32,
-            ys32,
-            st32,
-            np.asarray(sensor_x, dtype=np.float32),
-            np.asarray(sensor_y, dtype=np.float32),
-            np.asarray(counts64, dtype=np.float32),
-            log_gamma.astype(np.float32),
-            at_count.astype(np.float32),
-            np.float32(CPM_PER_MICROCURIE * efficiency),
-            np.float32(background_cpm),
-            np.float32(under_prediction_tempering),
-            (
-                np.asarray(interference_cpm, dtype=np.float32)
-                if interference_cpm is not None
-                else np.zeros(n_delivered, dtype=np.float32)
-            ),
-            (
-                np.asarray(credibility_weights, dtype=np.float32)
-                if credibility_weights is not None
-                else ones
-            ),
-            out,
-        )
-        return out
-
-    def multi_disc_query(  # pragma: no cover - requires numba
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compiled batched disc query: same CSR contract, typed loops.
-
-        The float64 distance test matches the scalar path op-for-op, so
-        rows stay bit-identical; the candidate walk and per-row sort run
-        as compiled code instead of vectorized passes (sorted rows are a
-        valid ``sort_rows=False`` answer, so the flag needs no branch).
-        """
-        centers_x = np.ascontiguousarray(xs, dtype=np.float64)
-        centers_y = np.ascontiguousarray(ys, dtype=np.float64)
-        radii = np.asarray(radius, dtype=np.float64)
-        if radii.ndim == 0:
-            radii = np.full(len(centers_x), float(radii))
-        else:
-            radii = np.ascontiguousarray(radii, dtype=np.float64)
-        if np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
-        indices, offsets, scanned = _numba_multi_disc_query(
-            grid._sorted_cids,
-            grid._order,
-            grid.xs,
-            grid.ys,
-            centers_x,
-            centers_y,
-            radii,
-            grid.x0,
-            grid.y0,
-            1.0 / grid.cell_size,
-            grid.n_cols,
-            grid.n_rows,
-        )
-        grid.queries += len(centers_x)
-        grid.candidates_scanned += int(scanned)
-        return indices, offsets

@@ -175,24 +175,10 @@ class LocalizerConfig:
 
     # --- compute fast path -------------------------------------------------------
     # Every knob below selects between a reference implementation and an
-    # accelerated one; the defaults enable the fast paths.  Grid selection
-    # and estimate caching are *exact* (bit-identical results); kernel
-    # truncation is a tight approximation gated on population size.  See
-    # docs/PERFORMANCE.md.
-    #: Route fusion-range selection and the estimator's disc queries
-    #: through the uniform spatial grid index instead of brute-force
-    #: scans.  Exact: the selected index sets are identical.
-    use_grid_index: bool = True
-    #: Grid cell size (length units); None derives ``fusion_range / 2``,
-    #: which keeps a fusion-disc query within a handful of cells.
-    grid_cell_size: float | None = None
-    #: Incremental grid maintenance threshold: when a position mutation
-    #: declares its touched rows (selective resample, bounded move) and
-    #: the dirty fraction is at most this, the index is re-binned by a
-    #: sorted merge instead of rebuilt from scratch.  Exact either way
-    #: (the maintained index is array-equal to a rebuild); 0 disables
-    #: incremental maintenance.
-    grid_incremental_threshold: float = 0.25
+    # accelerated one; the defaults enable the fast paths.  Estimate
+    # caching is *exact* (bit-identical results); kernel truncation is a
+    # tight approximation gated on population size.  Disc selection is
+    # always the one brute-force scan of Eq. 5.  See docs/PERFORMANCE.md.
     #: Cache the mean-shift extraction keyed on the particle revision, so
     #: repeated ``estimates()`` calls on an unmutated population (the
     #: interference refresh, per-step diagnostics) reuse the result.
@@ -215,11 +201,10 @@ class LocalizerConfig:
     #: the localizer (exact: workers run the dense reference kernel).
     meanshift_workers: int = 1
     #: Array backend for the hot kernels (see repro.core.backend):
-    #: "default" (float64 reference, bitwise parity), "fast" (float32 SoA
-    #: scratch-buffer kernels, tolerance parity), or "numba" (JIT, needs
-    #: numba installed).  None consults the REPRO_BACKEND environment
-    #: variable and falls back to "default"; the CLI --backend flag
-    #: overwrites this field.
+    #: "default" (float64 reference, bitwise parity) or "fast" (float32
+    #: SoA scratch-buffer kernels, tolerance parity).  None consults the
+    #: REPRO_BACKEND environment variable and falls back to "default";
+    #: the CLI --backend flag overwrites this field.
     backend: str | None = None
 
     # --- area ----------------------------------------------------------------
@@ -356,15 +341,6 @@ class LocalizerConfig:
             )
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
-        if self.grid_cell_size is not None and self.grid_cell_size <= 0:
-            raise ValueError(
-                f"grid_cell_size must be positive, got {self.grid_cell_size}"
-            )
-        if not 0.0 <= self.grid_incremental_threshold <= 1.0:
-            raise ValueError(
-                f"grid_incremental_threshold must be in [0, 1], "
-                f"got {self.grid_incremental_threshold}"
-            )
         if self.meanshift_truncation_sigmas < 0:
             raise ValueError(
                 f"meanshift_truncation_sigmas must be non-negative, "
@@ -384,20 +360,13 @@ class LocalizerConfig:
             raise ValueError(
                 f"meanshift_workers must be >= 1, got {self.meanshift_workers}"
             )
-        if self.backend is not None and self.backend not in (
-            "default",
-            "fast",
-            "numba",
-        ):
+        if self.backend is not None and self.backend not in ("default", "fast"):
             raise ValueError(
-                f"backend must be None, 'default', 'fast' or 'numba', "
-                f"got {self.backend!r}"
+                f"backend must be None, 'default' or 'fast', got {self.backend!r}"
             )
 
     def grid_cell(self) -> float:
-        """The effective grid cell size (explicit, or fusion_range / 2)."""
-        if self.grid_cell_size is not None:
-            return self.grid_cell_size
+        """The truncated mean-shift's grid cell size: ``fusion_range / 2``."""
         return 0.5 * self.fusion_range
 
     def with_overrides(self, **kwargs) -> "LocalizerConfig":
@@ -407,16 +376,15 @@ class LocalizerConfig:
     def without_fast_paths(self) -> "LocalizerConfig":
         """A copy running only the reference implementations.
 
-        Disables grid selection, estimate caching, kernel truncation and
-        the worker pool, and pins the array backend to the float64
-        reference (an explicit "default" here also shields the reference
-        runs from a stray REPRO_BACKEND environment override) -- the
-        configuration every fast path is parity-tested against (and the
-        baseline of ``bench_fastpath``).
+        Disables estimate caching, kernel truncation and the worker pool,
+        and pins the array backend to the float64 reference (an explicit
+        "default" here also shields the reference runs from a stray
+        REPRO_BACKEND environment override) -- the configuration every
+        fast path is parity-tested against (and the baseline of
+        ``bench_fastpath``).
         """
         return replace(
             self,
-            use_grid_index=False,
             estimate_cache=False,
             meanshift_truncation_sigmas=0.0,
             meanshift_workers=1,

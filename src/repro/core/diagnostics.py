@@ -88,9 +88,7 @@ def cluster_report(
     total = particles.weights.sum()
     out: List[ClusterSupport] = []
     for estimate in estimates:
-        # Served by the cached grid index when the hot path left a fresh
-        # one behind (bit-identical to the brute-force scan either way).
-        idx = particles.indices_within_cached(estimate.x, estimate.y, radius)
+        idx = particles.indices_within(estimate.x, estimate.y, radius)
         mass = float(particles.weights[idx].sum() / total) if total > 0 else 0.0
         if len(idx) > 0:
             q25, q75 = np.percentile(particles.strengths[idx], [25, 75])

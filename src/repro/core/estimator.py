@@ -181,7 +181,6 @@ def extract_estimates(
         config.meanshift_truncation_sigmas > 0
         and n >= config.meanshift_truncation_min_particles
     )
-    use_grid = config.use_grid_index
     if pool is not None:
         path = "parallel"
         converged, _densities = pool.run(
@@ -241,27 +240,11 @@ def extract_estimates(
     support_radius = config.bandwidth
     uniform_mass = min(1.0, math.pi * support_radius**2 / area)
 
-    # One disc query per mode, shared by the mass and strength filters
-    # (identical index set on every path).  Accelerated backends answer
-    # all modes with one batched CSR query; the grid path loops the exact
-    # scalar query; and the brute-force fallback still reuses a fresh
-    # index when one exists (bit-identical -- it only skips the O(N)
-    # scan, never changes the result).
-    if modes and use_grid and backend.accelerated:
-        grid = particles.grid(config.grid_cell())
-        before = grid.candidates_scanned
-        flat, offsets = backend.multi_disc_query(
-            grid,
-            np.array([mode.x for mode in modes], dtype=float),
-            np.array([mode.y for mode in modes], dtype=float),
-            support_radius,
-        )
-        particles.grid_queries += len(modes)
-        particles.grid_candidates += grid.candidates_scanned - before
-        support_sets = [
-            flat[offsets[i]:offsets[i + 1]] for i in range(len(modes))
-        ]
-    elif use_grid:
+    # One exact disc query per mode, shared by the mass and strength
+    # filters.  When the truncated sweep (reference or backend) already
+    # built the grid for its gathers, the queries reuse it; otherwise they
+    # are the brute-force scan.  Identical index sets either way.
+    if pool is None and use_truncated:
         support_sets = [
             particles.indices_within_grid(
                 mode.x, mode.y, support_radius, config.grid_cell()
@@ -270,7 +253,7 @@ def extract_estimates(
         ]
     else:
         support_sets = [
-            particles.indices_within_cached(mode.x, mode.y, support_radius)
+            particles.indices_within(mode.x, mode.y, support_radius)
             for mode in modes
         ]
 

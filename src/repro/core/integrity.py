@@ -12,8 +12,7 @@ the average to a credibility weight in ``[0, 1]``:
 * ``(0, 1)`` -- the Poisson log-likelihood is tempered by the weight
   (``L^w``), shrinking the reading's pull on the particles;
 * ``0.0`` -- the sensor is **quarantined**: the localizer skips the
-  reading entirely (no selection, no grid query, no reweighting, no echo
-  EMA update).
+  reading entirely (no selection, no reweighting, no echo EMA update).
 
 Surprise scoring -- the phantom-estimate trap
 --------------------------------------------

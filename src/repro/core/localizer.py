@@ -95,10 +95,6 @@ class MultiSourceLocalizer:
                 self.rng,
                 strength_init=config.strength_init,
             )
-        # Incremental grid maintenance budget (see ParticleSet.grid).
-        self.particles.grid_incremental_threshold = (
-            config.grid_incremental_threshold
-        )
         #: Structured trace-event emitter; the default NULL_TRACER keeps
         #: the hot loop free of any instrumentation cost (no clock reads,
         #: no ESS computation) -- every instrumented block is gated on
@@ -149,7 +145,6 @@ class MultiSourceLocalizer:
         self._pool: Optional[MeanShiftPool] = None
         # Grid instrumentation watermarks (metrics report deltas).
         self._grid_rebuilds_seen = 0
-        self._grid_incremental_seen = 0
         self._grid_queries_seen = 0
         self._grid_candidates_seen = 0
         # Backend scratch-reuse watermark (same delta-flush pattern).
@@ -195,7 +190,7 @@ class MultiSourceLocalizer:
         try:
             # Sensor integrity: score the reading before it touches anything.
             # A quarantined sensor's reading is dropped wholesale -- no echo
-            # EMA update, no particle selection, no grid query, no reweight.
+            # EMA update, no particle selection, no reweight.
             credibility_weight = 1.0
             if self.credibility is not None:
                 credibility_weight = self._assess_credibility(
@@ -250,16 +245,17 @@ class MultiSourceLocalizer:
             # 2. Prediction: static sources -> identity, unless a movement
             # model was supplied.
             if self.movement_model is not None:
+                particles = self.particles
                 xs, ys, strengths = self.movement_model(
-                    self.particles.xs[indices],
-                    self.particles.ys[indices],
-                    self.particles.strengths[indices],
+                    particles.xs[indices],
+                    particles.ys[indices],
+                    particles.strengths[indices],
                     self.rng,
                 )
-                self.particles.xs[indices] = xs
-                self.particles.ys[indices] = ys
-                self.particles.strengths[indices] = strengths
-                self.particles.clip_to_area(config.area, indices=indices)
+                particles.xs[indices] = np.clip(xs, 0.0, config.area[0])
+                particles.ys[indices] = np.clip(ys, 0.0, config.area[1])
+                particles.strengths[indices] = strengths
+                particles.mark_moved()
             if traced:
                 t_now = perf_counter()
                 phases["predict"] = t_now - t_prev
@@ -387,8 +383,7 @@ class MultiSourceLocalizer:
             # Phase A -- admission, per reading in delivery order, against
             # the un-mutated step-start population.  Credibility, EMA and
             # fusion ranges resolve first; the fusion-range selections for
-            # every surviving reading then go out as *one* batched disc
-            # query instead of a scalar query per measurement.
+            # every surviving reading follow.
             screened: List[tuple] = []
             for m in measurements:
                 if m.cpm < 0:
@@ -416,10 +411,10 @@ class MultiSourceLocalizer:
                     )
                 screened.append((m, fusion_range, credibility_weight))
 
-            selections = self._batched_selection(
-                [entry[0] for entry in screened],
-                [entry[1] for entry in screened],
-            )
+            selections = [
+                self._indices_within(m.x, m.y, fusion_range)
+                for m, fusion_range, _cred in screened
+            ]
             admitted: List[tuple] = []
             for (m, fusion_range, credibility_weight), indices in zip(
                 screened, selections
@@ -549,63 +544,11 @@ class MultiSourceLocalizer:
     def _indices_within(
         self, x: float, y: float, radius: float
     ) -> np.ndarray:
-        """Disc selection via the grid index (when enabled) or brute force.
-
-        Both paths return the same sorted index array; the grid one scans
-        only the cells overlapping the disc (Eq. 5's cost bound).
-        """
+        """Disc selection (Eq. 5); an infinite radius selects everything."""
         particles = self.particles
         if np.isinf(radius):
             return np.arange(len(particles))
-        if self.config.use_grid_index:
-            return particles.indices_within_grid(
-                x, y, radius, self.config.grid_cell()
-            )
         return particles.indices_within(x, y, radius)
-
-    def _batched_selection(
-        self, measurements: Sequence[Measurement], ranges: Sequence[float]
-    ) -> List[np.ndarray]:
-        """Fusion-range selection for a whole chunk: one batched disc query.
-
-        Each returned array equals the scalar :meth:`_indices_within` for
-        that measurement (the batched kernel keeps the exact-disc,
-        ascending contract).  Falls back to per-measurement queries when
-        the grid or backend cannot batch, or any range is infinite (those
-        select everything).  The batched rows are copied into a dedicated
-        scratch buffer (``sel.flat``) so later batched queries -- the
-        extraction's gathers run between selection and the weight apply --
-        cannot clobber them.
-        """
-        if not measurements:
-            return []
-        radii = np.asarray(ranges, dtype=float)
-        if (
-            not self.config.use_grid_index
-            or not self.backend.accelerated
-            or len(measurements) < 2
-            or not np.all(np.isfinite(radii))
-        ):
-            return [
-                self._indices_within(m.x, m.y, float(r))
-                for m, r in zip(measurements, radii)
-            ]
-        particles = self.particles
-        grid = particles.grid(self.config.grid_cell())
-        before = grid.candidates_scanned
-        xs = np.array([m.x for m in measurements], dtype=float)
-        ys = np.array([m.y for m in measurements], dtype=float)
-        flat, offsets = self.backend.multi_disc_query(grid, xs, ys, radii)
-        particles.grid_queries += len(xs)
-        particles.grid_candidates += grid.candidates_scanned - before
-        if self.metrics.enabled:
-            self.metrics.histogram("backend.disc_query_batch_size").observe(
-                len(xs)
-            )
-        total = int(offsets[-1])
-        keep = self.backend.scratch.get("sel.flat", (total,), np.int64)
-        np.copyto(keep, flat)
-        return [keep[offsets[i]:offsets[i + 1]] for i in range(len(xs))]
 
     def _flush_grid_metrics(self) -> None:
         """Report grid activity since the last flush (metrics-gated)."""
@@ -613,18 +556,8 @@ class MultiSourceLocalizer:
         particles = self.particles
         rebuilds = particles.grid_rebuilds - self._grid_rebuilds_seen
         if rebuilds:
-            # localizer.grid_rebuilds predates incremental maintenance and
-            # keeps its name; grid.full_rebuilds is the same count under
-            # the new grid.* namespace, paired with grid.incremental_updates.
             metrics.counter("localizer.grid_rebuilds").inc(rebuilds)
-            metrics.counter("grid.full_rebuilds").inc(rebuilds)
             self._grid_rebuilds_seen = particles.grid_rebuilds
-        incremental = (
-            particles.grid_incremental_updates - self._grid_incremental_seen
-        )
-        if incremental:
-            metrics.counter("grid.incremental_updates").inc(incremental)
-            self._grid_incremental_seen = particles.grid_incremental_updates
         queries = particles.grid_queries - self._grid_queries_seen
         if queries:
             candidates = particles.grid_candidates - self._grid_candidates_seen

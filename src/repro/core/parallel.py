@@ -116,6 +116,8 @@ class WorkerPool:
             kill_deadline = self.KILL_DEADLINE_SECONDS
         executor, self._executor = self._executor, None
         processes = list(getattr(executor, "_processes", {}).values())
+        # Captured before shutdown, which drops the executor's reference.
+        manager = getattr(executor, "_executor_manager_thread", None)
         executor.shutdown(wait=False, cancel_futures=True)
         terminated = 0
         for process in processes:
@@ -132,6 +134,11 @@ class WorkerPool:
         for process in processes:
             # Post-SIGKILL join cannot block; it reaps the zombie.
             process.join()
+        # The executor's manager thread joins the same processes; when it
+        # wins the reap, the exit code lands only once that thread stores
+        # it, so wait for it before reporting the workers gone.
+        if manager is not None:
+            manager.join(timeout=kill_deadline)
         self._emit(
             "pool_discard",
             build=self.builds,

@@ -64,22 +64,11 @@ class ParticleSet:
         # Lazily (re)built spatial index: (index, position_revision).
         self._grid: Optional[SpatialGridIndex] = None
         self._grid_revision = -1
-        # Dirty-row accumulator between grid syncs: a list of index arrays
-        # when every position mutation since the last sync declared its
-        # touched rows, or None when any mutation was unbounded (full
-        # rebuild required).
-        self._dirty: Optional[list] = None
-        self._dirty_count = 0
-        #: Fraction of the population above which a dirty set triggers a
-        #: full rebuild instead of an incremental merge (the merge's
-        #: per-row cost overtakes one argsort well before 1.0).  Wired
-        #: from ``LocalizerConfig.grid_incremental_threshold``.
-        self.grid_incremental_threshold = 0.25
         #: Cumulative grid instrumentation (rebuilds / queries / candidate
         #: counts survive index rebuilds; read by the localizer's metrics).
-        #: ``grid_rebuilds`` counts *full* rebuilds; incremental merges
-        #: count separately.
         self.grid_rebuilds = 0
+        #: Always 0: the index is rebuilt, never re-binned in place.  Kept
+        #: for counter readers that still subtract it.
         self.grid_incremental_updates = 0
         self.grid_queries = 0
         self.grid_candidates = 0
@@ -164,97 +153,30 @@ class ParticleSet:
         """Record a weights-only mutation (positions unchanged)."""
         self._revision += 1
 
-    def mark_moved(self, indices: Optional[np.ndarray] = None) -> None:
-        """Record a mutation that (possibly) changed particle positions.
-
-        ``indices``, when given, promises the mutation touched *only*
-        those rows (a selective resample, a bounded-subset move); the
-        cached grid index can then be maintained incrementally instead of
-        rebuilt from scratch.  Omit it for unbounded mutations.
-        """
+    def mark_moved(self) -> None:
+        """Record a mutation that (possibly) changed particle positions."""
         self._revision += 1
         self._position_revision = self._revision
-        if indices is None:
-            self._dirty = None
-            return
-        if self._dirty is None:
-            return  # already unbounded since the last grid sync
-        dirty = np.asarray(indices, dtype=np.int64)
-        if dirty is indices:
-            dirty = dirty.copy()  # callers may mutate their array later
-        self._dirty.append(dirty)
-        self._dirty_count += len(dirty)
-        if self._dirty_count > 4 * len(self):
-            # Memory guard: repeated subset moves without a grid sync in
-            # between; the union is headed past the rebuild threshold.
-            self._dirty = None
 
     # --- spatial index -----------------------------------------------------------
 
     def grid(self, cell_size: float) -> SpatialGridIndex:
-        """The spatial index over current positions, maintained lazily.
+        """The spatial index over current positions, rebuilt lazily.
 
-        When positions changed since the last sync, the cached index is
-        re-binned incrementally if every mutation declared its dirty rows
-        (:meth:`mark_moved` with ``indices=``) and the dirty fraction
-        stays under :attr:`grid_incremental_threshold`; otherwise -- or
-        when the merge cannot reproduce a from-scratch build because the
-        population's bounding box changed -- it is rebuilt.  Either way
-        the returned index is array-equal to a fresh
-        :class:`SpatialGridIndex` over current positions.
+        The cached index is reused while positions and ``cell_size`` are
+        unchanged; otherwise it is rebuilt from scratch.
         """
         index = self._grid
-        if index is not None and index.cell_size == cell_size:
-            if self._grid_revision == self._position_revision:
-                return index
-            if self._sync_incrementally(index):
-                return index
-        index = SpatialGridIndex(self.xs, self.ys, cell_size)
-        self._grid = index
-        self._grid_revision = self._position_revision
-        self.grid_rebuilds += 1
-        self._dirty = []
-        self._dirty_count = 0
-        return index
-
-    def _sync_incrementally(self, index: SpatialGridIndex) -> bool:
-        """Try to bring the cached ``index`` current via re-binning."""
-        dirty_sets = self._dirty
         if (
-            dirty_sets is None
-            or index.xs is not self.xs
-            or index.ys is not self.ys
+            index is None
+            or index.cell_size != cell_size
+            or self._grid_revision != self._position_revision
         ):
-            return False
-        if dirty_sets:
-            stacked = (
-                dirty_sets[0] if len(dirty_sets) == 1 else np.concatenate(dirty_sets)
-            )
-            dirty = np.unique(stacked)
-        else:
-            dirty = np.empty(0, dtype=np.int64)
-        if len(dirty) > self.grid_incremental_threshold * len(self):
-            return False
-        if len(dirty) and not index.apply_moves(dirty):
-            return False
-        self._grid_revision = self._position_revision
-        self._dirty = []
-        self._dirty_count = 0
-        if len(dirty):
-            self.grid_incremental_updates += 1
-        return True
-
-    def fresh_grid(self) -> Optional[SpatialGridIndex]:
-        """The cached index, only when it matches current positions.
-
-        Never builds: callers that merely *prefer* grid acceleration (the
-        diagnostics disc scans) use this to reuse an index the hot path
-        already paid for, falling back to brute force otherwise.
-        """
-        index = self._grid
-        if index is not None and self._grid_revision == self._position_revision:
-            return index
-        return None
+            index = SpatialGridIndex(self.xs, self.ys, cell_size)
+            self._grid = index
+            self._grid_revision = self._position_revision
+            self.grid_rebuilds += 1
+        return index
 
     def indices_within_grid(
         self, x: float, y: float, radius: float, cell_size: float
@@ -263,26 +185,10 @@ class ParticleSet:
 
         Scans only the cells overlapping the query disc instead of all N
         particles; returns the same sorted index array as the brute-force
-        scan.
+        scan.  Worth it only where the grid is already built for another
+        reason (the truncated mean-shift's gathers).
         """
         index = self.grid(cell_size)
-        before = index.candidates_scanned
-        selected = index.query_disc(x, y, radius)
-        self.grid_queries += 1
-        self.grid_candidates += index.candidates_scanned - before
-        return selected
-
-    def indices_within_cached(self, x: float, y: float, radius: float) -> np.ndarray:
-        """:meth:`indices_within`, served by the cached grid when fresh.
-
-        Bit-identical either way -- the grid's exact disc query matches
-        the brute-force scan -- but skips the O(N) sweep whenever an index
-        the hot path already built is still current.  Never forces a
-        build.
-        """
-        index = self.fresh_grid()
-        if index is None:
-            return self.indices_within(x, y, radius)
         before = index.candidates_scanned
         selected = index.query_disc(x, y, radius)
         self.grid_queries += 1
@@ -351,22 +257,11 @@ class ParticleSet:
             self.xs.copy(), self.ys.copy(), self.strengths.copy(), self.weights.copy()
         )
 
-    def clip_to_area(
-        self, area: Tuple[float, float], indices: Optional[np.ndarray] = None
-    ) -> None:
-        """Clamp positions into [0, w] x [0, h] (jitter can push them out).
-
-        ``indices`` bounds the clamp to a subset so the mutation stays
-        eligible for incremental grid maintenance.
-        """
-        if indices is None:
-            np.clip(self.xs, 0.0, area[0], out=self.xs)
-            np.clip(self.ys, 0.0, area[1], out=self.ys)
-            self.mark_moved()
-        else:
-            self.xs[indices] = np.clip(self.xs[indices], 0.0, area[0])
-            self.ys[indices] = np.clip(self.ys[indices], 0.0, area[1])
-            self.mark_moved(indices=indices)
+    def clip_to_area(self, area: Tuple[float, float]) -> None:
+        """Clamp positions into [0, w] x [0, h] (jitter can push them out)."""
+        np.clip(self.xs, 0.0, area[0], out=self.xs)
+        np.clip(self.ys, 0.0, area[1], out=self.ys)
+        self.mark_moved()
 
     def __repr__(self) -> str:
         return (

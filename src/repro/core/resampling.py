@@ -159,5 +159,5 @@ def resample_subset(
         particles.weights[indices] = subset_mass / m
     else:
         particles.weights[indices] = 1.0 / len(particles)
-    particles.mark_moved(indices=indices)
+    particles.mark_moved()
     return ResampleStats(n_resampled=m, n_duplicates=n_dup, n_injected=n_inject)

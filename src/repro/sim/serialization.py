@@ -78,6 +78,14 @@ FORMAT_VERSION = 1
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
+#: Localizer config keys that older documents (committed streams,
+#: existing checkpoints) carry but the config no longer has: the grid
+#: selection knobs.  Loading drops exactly these; any other unknown key
+#: still fails.
+RETIRED_CONFIG_KEYS = frozenset(
+    {"use_grid_index", "grid_cell_size", "grid_incremental_threshold"}
+)
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint document is missing, corrupted, or unsupported."""
@@ -285,7 +293,11 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     config_data = data.get("localizer_config")
     config = None
     if config_data is not None:
-        config_data = dict(config_data)
+        config_data = {
+            key: value
+            for key, value in config_data.items()
+            if key not in RETIRED_CONFIG_KEYS
+        }
         area = config_data.get("area")
         if isinstance(area, list):
             config_data["area"] = tuple(area)

@@ -9,6 +9,7 @@ from repro.core.meanshift import (
     gaussian_kernel_weights,
     mean_shift,
     mean_shift_modes,
+    padded_candidate_rows,
     select_seeds,
     truncated_mean_shift_modes,
 )
@@ -260,3 +261,21 @@ class TestTruncatedMeanShift:
         # stopping points can drift a little along a plateau; they must still
         # agree far inside the downstream merge radius (>= bandwidth >= 4).
         assert np.linalg.norm(tm - dm, axis=1).max() < 2.0
+
+
+class TestPaddedCandidateRows:
+    def test_rows_are_exact_discs_with_per_center_radii(self):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0, 60, (400, 2))
+        grid = SpatialGridIndex(points[:, 0], points[:, 1], 6.0)
+        centers = np.array([[10.0, 10.0], [30.0, 45.0], [500.0, 500.0]])
+        radii = np.array([5.0, 12.0, 3.0])
+        idx_rows, counts, capacity = padded_candidate_rows(grid, centers, radii)
+        assert capacity >= counts.max() and capacity & (capacity - 1) == 0
+        assert idx_rows.shape == (3, capacity)
+        for (x, y), r, row, count in zip(centers, radii, idx_rows, counts):
+            d_sq = (points[:, 0] - x) ** 2 + (points[:, 1] - y) ** 2
+            np.testing.assert_array_equal(
+                np.sort(row[:count]), np.nonzero(d_sq <= r * r)[0]
+            )
+            assert not row[count:].any()

@@ -1,7 +1,7 @@
 """End-to-end parity tests for the fast-path compute layer.
 
-Every fast path (grid selection, estimate caching, kernel truncation,
-worker pool) must be indistinguishable from the reference implementation
+Every fast path (estimate caching, kernel truncation, worker pool)
+must be indistinguishable from the reference implementation
 it replaces -- bit-identical where the path is exact, within a tight
 tolerance where it is approximate.  The drivers here run the same
 measurement stream through a fast-path localizer and a
@@ -70,15 +70,14 @@ SOURCES = [
 
 
 class TestGridSelectionParity:
-    """Grid-backed selection is exact: identical trajectories, bit for bit."""
+    """Selection is exact on every config: identical trajectories, bit for bit."""
 
     def test_bit_identical_population(self):
         stream = measurement_stream(SOURCES)
-        # Truncation, caching and the array backend off so only the grid
-        # differs between runs (the reference pins backend="default", so
-        # the fast side must too or a REPRO_BACKEND override would leak
-        # tolerance-level drift into this bitwise comparison); the grid
-        # path must then be invisible to the filter.
+        # Truncation, caching and the array backend off (the reference
+        # pins backend="default", so the fast side must too or a
+        # REPRO_BACKEND override would leak tolerance-level drift into
+        # this bitwise comparison); the filters must then agree exactly.
         config = base_config(
             estimate_cache=False,
             meanshift_truncation_sigmas=0.0,
@@ -197,31 +196,21 @@ class TestEstimateCache:
 
 
 class TestGridMetrics:
-    def test_grid_counters_populate(self):
+    def test_small_default_run_never_builds_grid(self):
+        """Below the truncation gate nothing needs the grid: selection,
+        resampling and the support queries are all brute-force scans."""
         stream = measurement_stream(SOURCES, n_steps=3)
         metrics = MetricsRegistry()
+        config = base_config(backend="default")
+        assert config.n_particles < config.meanshift_truncation_min_particles
         localizer = MultiSourceLocalizer(
-            base_config(), rng=np.random.default_rng(0), metrics=metrics
+            config, rng=np.random.default_rng(0), metrics=metrics
         )
         for m in stream:
             localizer.observe(m)
-        assert metrics.counter("localizer.grid_rebuilds").value >= 1
-        assert metrics.counter("localizer.grid_queries").value >= len(stream)
-        hist = metrics.histogram("localizer.grid_candidate_fraction").snapshot()
-        assert hist["count"] >= 1
-        # The grid's whole point: queries scan well under the full population.
-        assert hist["max"] <= 1.0
-
-    def test_no_grid_metrics_when_disabled(self):
-        stream = measurement_stream(SOURCES, n_steps=2)
-        metrics = MetricsRegistry()
-        localizer = MultiSourceLocalizer(
-            base_config(use_grid_index=False),
-            rng=np.random.default_rng(0),
-            metrics=metrics,
-        )
-        for m in stream:
-            localizer.observe(m)
+        localizer.estimates()
+        assert localizer.particles.grid_rebuilds == 0
+        assert metrics.counter("localizer.grid_rebuilds").value == 0
         assert metrics.counter("localizer.grid_queries").value == 0
 
 

@@ -13,8 +13,6 @@ The robustness contract has three legs, each pinned here:
   the link/delivery codecs in :mod:`repro.sim.serialization`.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 

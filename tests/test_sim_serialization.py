@@ -111,6 +111,24 @@ class TestFiles:
         assert scenario.name == "hand"
         assert scenario.localizer_config is not None  # default built
 
+    def test_retired_grid_keys_are_dropped(self):
+        # Committed streams and older checkpoints still carry the retired
+        # grid-selection knobs in their localizer config.
+        doc = scenario_to_dict(scenario_a())
+        doc["localizer_config"].update(
+            use_grid_index=True,
+            grid_cell_size=None,
+            grid_incremental_threshold=0.25,
+        )
+        restored = scenario_from_dict(doc)
+        assert restored.localizer_config == scenario_a().localizer_config
+
+    def test_unknown_config_key_still_fails(self):
+        doc = scenario_to_dict(scenario_a())
+        doc["localizer_config"]["use_grid_indexx"] = True
+        with pytest.raises(TypeError, match="use_grid_indexx"):
+            scenario_from_dict(doc)
+
 
 class TestRunResultRoundTrip:
     @pytest.fixture(scope="class")

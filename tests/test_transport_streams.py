@@ -16,7 +16,6 @@ from repro.network.link import LossyLink, PerfectLink, UniformLatencyLink
 from repro.network.transport import (
     InOrderDelivery,
     OutOfOrderDelivery,
-    QueuedDeliveryStream,
     ShuffledDelivery,
 )
 from repro.physics.source import RadiationSource
