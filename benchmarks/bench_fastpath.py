@@ -138,28 +138,6 @@ def _kernel_timings(localizer, config):
     particles = localizer.particles
     backend = localizer.backend
     reference = ArrayBackend()
-    sensors = scenario_b(n_particles=len(particles)).sensors
-    sensor_x = np.array([s.x for s in sensors])
-    sensor_y = np.array([s.y for s in sensors])
-    counts = np.full(len(sensors), 12.0)
-
-    def fused_batch():
-        backend.begin_step()
-        backend.log_likelihood_batch(
-            particles, sensor_x, sensor_y, counts,
-            efficiency=config.assumed_efficiency,
-            background_cpm=config.assumed_background_cpm,
-            under_prediction_tempering=config.under_prediction_tempering,
-        )
-
-    def reference_batch():
-        reference.log_likelihood_batch(
-            particles, sensor_x, sensor_y, counts,
-            efficiency=config.assumed_efficiency,
-            background_cpm=config.assumed_background_cpm,
-            under_prediction_tempering=config.under_prediction_tempering,
-        )
-
     seeds = select_seeds(
         particles.positions,
         particles.weights,
@@ -193,8 +171,6 @@ def _kernel_timings(localizer, config):
         reference.prefix_sum(weights, total)
 
     return {
-        "weight_batch_fused_ms": _time_ms(fused_batch),
-        "weight_batch_reference_ms": _time_ms(reference_batch),
         "meanshift_backend_ms": _time_ms(backend_meanshift),
         "meanshift_truncated_ms": _time_ms(truncated_meanshift),
         "prefix_sum_fast_ms": _time_ms(fast_prefix_sum),

@@ -1,14 +1,13 @@
 """Pluggable array backends for the localizer's hot kernels.
 
 Profiling the Table-1 cell (15000 particles, N = 196) shows the remaining
-wall is not numpy itself but *how* the kernels are driven: one Python
-round-trip per sensor in the weight path, ragged per-seed gathers and
-``np.repeat`` copies in the truncated mean-shift, and a fresh temporary
-for every intermediate array.  An :class:`ArrayBackend` owns those
-kernels -- fused Poisson log-likelihood over a whole step's delivered
-measurements, the segmented mean-shift reduction, and the resampling
-prefix-sum -- so the driver code (``weighting``,
-``resampling``, ``estimator``, ``localizer``) stays backend-agnostic:
+wall is not numpy itself but *how* the kernels are driven: ragged
+per-seed gathers and ``np.repeat`` copies in the truncated mean-shift,
+and a fresh temporary for every intermediate array.  An
+:class:`ArrayBackend` owns those kernels -- the per-reading Poisson
+weight update, the segmented mean-shift reduction, and the resampling
+prefix-sum -- so the driver code (``weighting``, ``resampling``,
+``estimator``, ``localizer``) stays backend-agnostic:
 
 * :class:`NumpyBackend` (``"default"``) delegates to the float64
   reference implementations and is **bitwise-identical** to the code it
@@ -119,7 +118,7 @@ class ScratchPool:
         self.reserve_hint = 0
 
     def begin_step(self) -> None:
-        """Open a new accounting window (one localizer iteration/batch)."""
+        """Open a new accounting window (one localizer iteration)."""
         self.allocations_this_step = 0
 
     def get(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -203,92 +202,6 @@ class ArrayBackend:
             credibility_weight=credibility_weight,
         )
 
-    def log_likelihood_batch(
-        self,
-        particles: "ParticleSet",
-        sensor_x: np.ndarray,
-        sensor_y: np.ndarray,
-        counts: np.ndarray,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: Optional[np.ndarray] = None,
-        credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fused log-likelihood of a whole step's delivered measurements.
-
-        Returns an ``(n_delivered, n_particles)`` matrix: row ``b`` is the
-        (tempered, credibility-scaled) log-likelihood of measurement ``b``
-        under every particle's single-source hypothesis, evaluated at the
-        *current* particle positions.  The reference implementation loops
-        the per-sensor kernel; accelerated backends compute the whole
-        matrix in one fused pass and are parity-tested against this.
-        """
-        from repro.core.weighting import tempered_poisson_log_likelihood
-        from repro.physics.intensity import expected_cpm_free_space
-
-        sensor_x = np.asarray(sensor_x, dtype=float)
-        counts = np.asarray(counts, dtype=float)
-        n_delivered = len(counts)
-        out = np.empty((n_delivered, len(particles)), dtype=self.dtype)
-        for b in range(n_delivered):
-            rates = expected_cpm_free_space(
-                float(sensor_x[b]),
-                float(np.asarray(sensor_y, dtype=float)[b]),
-                particles.xs,
-                particles.ys,
-                particles.strengths,
-                efficiency=efficiency,
-                background_cpm=background_cpm,
-            )
-            if interference_cpm is not None:
-                rates = rates + float(interference_cpm[b])
-            log_like = tempered_poisson_log_likelihood(
-                float(counts[b]), rates, under_prediction_tempering
-            )
-            if credibility_weights is not None and credibility_weights[b] != 1.0:
-                log_like = np.where(
-                    np.isfinite(log_like),
-                    float(credibility_weights[b]) * log_like,
-                    log_like,
-                )
-            out[b] = log_like
-        return out
-
-    def apply_log_likelihood(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        log_like_row: np.ndarray,
-    ) -> None:
-        """Apply one precomputed likelihood row to the selected subset.
-
-        Mirrors ``reweight_in_place`` exactly (subset-mass preservation,
-        degenerate-subset backfill, all-impossible early return, relative
-        floor) but takes the log-likelihood as data instead of computing
-        it -- the composition point of the fused batch update.
-        """
-        from repro.core.weighting import RELATIVE_FLOOR
-
-        m = len(indices)
-        if m == 0:
-            return
-        particles.mark_reweighted()
-        subset_mass = float(particles.weights[indices].sum())
-        if subset_mass <= 0:
-            subset_mass = m / len(particles)
-            particles.weights[indices] = subset_mass / m
-        log_like = np.asarray(log_like_row, dtype=float)[indices]
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(particles.weights[indices])
-        log_post = log_like + log_prior
-        finite = np.isfinite(log_post)
-        if not np.any(finite):
-            return
-        peak = log_post[finite].max()
-        posterior = np.exp(np.maximum(log_post - peak, np.log(RELATIVE_FLOOR)))
-        particles.weights[indices] = posterior * (subset_mass / posterior.sum())
-
     # --- resampling ------------------------------------------------------------
 
     def prefix_sum(self, weights: np.ndarray, total: float) -> np.ndarray:
@@ -355,7 +268,7 @@ class NumpyBackend(ArrayBackend):
 
 
 class FastNumpyBackend(ArrayBackend):
-    """Float32 SoA backend (``"fast"``): fused kernels, preallocated scratch.
+    """Float32 SoA backend (``"fast"``): float32 kernels, preallocated scratch.
 
     Compute dtype is float32 throughout the hot kernels (particle storage
     stays float64 -- the filter state is unchanged); float32 halves
@@ -429,6 +342,8 @@ class FastNumpyBackend(ArrayBackend):
         m = len(indices)
         if m == 0:
             return
+        from repro.core.weighting import RELATIVE_FLOOR
+
         particles.mark_reweighted()
         scratch = self.scratch
         prior = scratch.get("rw.prior", (m,), np.float64)
@@ -455,7 +370,22 @@ class FastNumpyBackend(ArrayBackend):
             finite32 = scratch.get("rw.finite32", (m,), bool)
             np.isfinite(log_like, out=finite32)
             np.copyto(log_like, scaled, where=finite32)
-        self._apply_posterior(particles, indices, prior, log_like, subset_mass)
+        # Prior + likelihood -> posterior, rescaled to the subset's mass.
+        log_post = scratch.get("rw.logpost", (m,), np.float64)
+        with np.errstate(divide="ignore"):
+            np.log(prior, out=log_post)
+        log_post += log_like
+        finite = scratch.get("rw.finite", (m,), bool)
+        np.isfinite(log_post, out=finite)
+        if not finite.any():
+            return
+        peak = float(np.max(log_post, initial=-np.inf, where=finite))
+        np.subtract(log_post, peak, out=log_post)
+        np.maximum(log_post, np.log(RELATIVE_FLOOR), out=log_post)
+        np.exp(log_post, out=log_post)
+        total = float(log_post.sum())
+        np.multiply(log_post, subset_mass / total, out=log_post)
+        particles.weights[indices] = log_post
 
     def _subset_log_likelihood(
         self,
@@ -469,7 +399,7 @@ class FastNumpyBackend(ArrayBackend):
         tempering: float,
         interference_cpm: np.ndarray | float,
     ) -> np.ndarray:
-        """Tempered Poisson log-likelihood of the subset, fused in float32."""
+        """Tempered Poisson log-likelihood of the subset, in float32."""
         scratch = self.scratch
         m = len(indices)
         xs32, ys32, st32 = self._position_mirrors(particles)
@@ -527,157 +457,6 @@ class FastNumpyBackend(ArrayBackend):
             )
             np.copyto(log_like, tempered, where=under)
         return log_like
-
-    def _apply_posterior(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        prior: np.ndarray,
-        log_like: np.ndarray,
-        subset_mass: float,
-    ) -> None:
-        """Shared tail of the weight update: prior + likelihood -> weights."""
-        from repro.core.weighting import RELATIVE_FLOOR
-
-        scratch = self.scratch
-        m = len(indices)
-        log_post = scratch.get("rw.logpost", (m,), np.float64)
-        with np.errstate(divide="ignore"):
-            np.log(prior, out=log_post)
-        log_post += log_like
-        finite = scratch.get("rw.finite", (m,), bool)
-        np.isfinite(log_post, out=finite)
-        if not finite.any():
-            return
-        peak = float(np.max(log_post, initial=-np.inf, where=finite))
-        np.subtract(log_post, peak, out=log_post)
-        np.maximum(log_post, np.log(RELATIVE_FLOOR), out=log_post)
-        np.exp(log_post, out=log_post)
-        total = float(log_post.sum())
-        np.multiply(log_post, subset_mass / total, out=log_post)
-        particles.weights[indices] = log_post
-
-    def log_likelihood_batch(
-        self,
-        particles: "ParticleSet",
-        sensor_x: np.ndarray,
-        sensor_y: np.ndarray,
-        counts: np.ndarray,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: Optional[np.ndarray] = None,
-        credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One fused ``(n_delivered, n_particles)`` float32 pass.
-
-        The per-sensor Python loop of the reference collapses into
-        broadcasted row arithmetic over scratch matrices; quarantined
-        readings never reach this kernel (the localizer drops them during
-        admission), and per-row credibility weights compose here exactly
-        as in the scalar path.  The returned matrix is a scratch view --
-        consume it before the next batch call.
-        """
-        scratch = self.scratch
-        counts = np.asarray(counts, dtype=np.float64)
-        n_delivered = len(counts)
-        n = len(particles)
-        xs32, ys32, st32 = self._position_mirrors(particles)
-        shape = (n_delivered, n)
-        sx = scratch.get("batch.sx", (n_delivered,), np.float32)
-        sy = scratch.get("batch.sy", (n_delivered,), np.float32)
-        np.copyto(sx, sensor_x)
-        np.copyto(sy, sensor_y)
-        counts32 = scratch.get("batch.counts", (n_delivered,), np.float32)
-        np.copyto(counts32, counts)
-        # log Gamma(count + 1) per row, in float64 (large counts lose all
-        # fractional precision in float32; one tiny host-side vector).
-        log_gamma = gammaln(counts + 1.0)
-
-        d_sq = scratch.get("batch.dsq", shape, np.float32)
-        tmp = scratch.get("batch.tmp", shape, np.float32)
-        np.subtract(xs32[None, :], sx[:, None], out=d_sq)
-        np.multiply(d_sq, d_sq, out=d_sq)
-        np.subtract(ys32[None, :], sy[:, None], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d_sq, tmp, out=d_sq)
-        np.add(d_sq, np.float32(1.0), out=d_sq)
-        rates = tmp  # d_sq holds 1 + d^2; tmp is free to become the rates
-        np.divide(st32[None, :], d_sq, out=rates)
-        np.multiply(
-            rates, np.float32(CPM_PER_MICROCURIE * efficiency), out=rates
-        )
-        np.add(rates, np.float32(background_cpm), out=rates)
-        if interference_cpm is not None:
-            intf = scratch.get("batch.intf", (n_delivered,), np.float32)
-            np.copyto(intf, interference_cpm)
-            np.add(rates, intf[:, None], out=rates)
-
-        log_like = d_sq  # 1 + d^2 is spent; reuse as the output matrix
-        positive = scratch.get("batch.positive", shape, bool)
-        np.greater(rates, 0.0, out=positive)
-        row = scratch.get("batch.row", (n_delivered,), np.float32)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(rates, out=log_like, where=positive)
-        np.multiply(log_like, counts32[:, None], out=log_like, where=positive)
-        np.subtract(log_like, rates, out=log_like, where=positive)
-        np.copyto(row, log_gamma)
-        np.subtract(log_like, row[:, None], out=log_like, where=positive)
-        fill = scratch.get("batch.fill", (n_delivered,), np.float32)
-        np.copyto(fill, np.where(counts == 0.0, 0.0, -np.inf))
-        np.logical_not(positive, out=positive)
-        np.copyto(log_like, fill[:, None], where=positive)
-
-        if under_prediction_tempering < 1.0:
-            alpha = np.float32(under_prediction_tempering)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                at_count = np.where(
-                    counts > 0.0,
-                    counts * np.log(np.maximum(counts, 1.0))
-                    - counts
-                    - log_gamma,
-                    0.0,
-                )
-            under = positive  # spent; reuse as the under-prediction mask
-            np.less(rates, counts32[:, None], out=under)
-            scaled = rates  # rates are spent after the mask
-            np.multiply(log_like, alpha, out=scaled)
-            np.copyto(row, (1.0 - under_prediction_tempering) * at_count)
-            np.add(scaled, row[:, None], out=scaled)
-            np.copyto(log_like, scaled, where=under)
-            spare = scaled
-        else:
-            spare = rates
-        if credibility_weights is not None:
-            cred = scratch.get("batch.cred", (n_delivered,), np.float32)
-            np.copyto(cred, credibility_weights)
-            finite = positive
-            np.isfinite(log_like, out=finite)
-            np.multiply(log_like, cred[:, None], out=spare)
-            np.copyto(log_like, spare, where=finite)
-        return log_like
-
-    def apply_log_likelihood(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        log_like_row: np.ndarray,
-    ) -> None:
-        m = len(indices)
-        if m == 0:
-            return
-        particles.mark_reweighted()
-        scratch = self.scratch
-        prior = scratch.get("rw.prior", (m,), np.float64)
-        np.take(particles.weights, indices, out=prior)
-        subset_mass = float(prior.sum())
-        if subset_mass <= 0:
-            subset_mass = m / len(particles)
-            particles.weights[indices] = subset_mass / m
-            prior.fill(subset_mass / m)
-        log_like = scratch.get("rw.ll", (m,), np.float32)
-        np.take(log_like_row, indices, out=log_like)
-        self._apply_posterior(particles, indices, prior, log_like, subset_mass)
 
     # --- resampling ------------------------------------------------------------
 

@@ -40,13 +40,6 @@ from repro.sensors.measurement import Measurement
 
 logger = logging.getLogger(__name__)
 
-#: Readings fused per batched likelihood pass.  Within a chunk every
-#: weight row applies to the same population; resampling runs between
-#: chunks so the filter keeps the sequential loop's intra-step annealing.
-#: 8 keeps >90% of the batching win on the Table-1 cell while matching
-#: the sequential loop's accuracy on the paper scenarios.
-FUSED_CHUNK = 8
-
 #: A movement model maps (xs, ys, strengths, rng) of the touched subset to
 #: predicted arrays.  The paper's sources are static (identity model); the
 #: hook exists for the moving-source extension.
@@ -337,173 +330,15 @@ class MultiSourceLocalizer:
             self._in_observe = False
 
     def observe_batch(self, measurements: Sequence[Measurement]) -> None:
-        """Consume one step's delivered measurements, fused when possible.
+        """Consume one step's delivered measurements, in delivery order.
 
-        With an accelerated backend (and no movement model or tracing),
-        the per-sensor weight-path loop collapses into batched fused
-        likelihood passes of :data:`FUSED_CHUNK` readings each: within a
-        chunk, admission (integrity scoring, quarantine drops, echo-EMA
-        updates, fusion selection) runs per reading in delivery order,
-        one backend call computes the chunk's likelihood matrix, every
-        row is applied to the same un-mutated population it was computed
-        on (the weight updates are multiplicative, so their order within
-        the chunk is immaterial), and then each reading's region is
-        selectively resampled in delivery order.  Resampling *between*
-        chunks preserves the sequential loop's annealing behaviour --
-        fusing a whole step into one chunk starves later readings of the
-        particle diversity the intermediate resamples restore -- so
-        accuracy stays in the same approximation class as the truncated
-        mean-shift kernel, covered by the tolerance parity suite.
-
-        Everything else (default backend, movement models, tracing, a
-        batch of one) falls back to the exact sequential :meth:`observe`
-        loop, which is bitwise-identical to calling it yourself.
+        A plain loop over :meth:`observe`: every backend runs the paper's
+        per-reading iteration, so calling this is bitwise-identical to
+        calling :meth:`observe` yourself, traced or not.  It exists as the
+        session's single entry point for a delivery batch.
         """
-        measurements = list(measurements)
-        if (
-            not self.backend.accelerated
-            or self.movement_model is not None
-            or self.tracer.enabled
-            or len(measurements) <= 1
-        ):
-            for measurement in measurements:
-                self.observe(measurement)
-            return
-        for start in range(0, len(measurements), FUSED_CHUNK):
-            self._observe_batch_fused(measurements[start:start + FUSED_CHUNK])
-
-    def _observe_batch_fused(self, measurements: List[Measurement]) -> None:
-        """The accelerated :meth:`observe_batch` body (backend-gated)."""
-        config = self.config
-        backend = self.backend
-        metrics = self.metrics
-        backend.begin_step()
-        self._in_observe = True
-        try:
-            # Phase A -- admission, per reading in delivery order, against
-            # the un-mutated step-start population.  Credibility, EMA and
-            # fusion ranges resolve first; the fusion-range selections for
-            # every surviving reading follow.
-            screened: List[tuple] = []
-            for m in measurements:
-                if m.cpm < 0:
-                    raise ValueError(
-                        f"measurement CPM must be non-negative, got {m.cpm}"
-                    )
-                credibility_weight = 1.0
-                if self.credibility is not None:
-                    credibility_weight = self._assess_credibility(
-                        m.sensor_id, m.x, m.y, m.cpm
-                    )
-                    if credibility_weight <= 0.0:
-                        self._reading_ema.pop((round(m.x, 6), round(m.y, 6)), None)
-                        if metrics.enabled:
-                            metrics.counter("integrity.skipped_readings").inc()
-                        continue
-                fusion_range = self.fusion_policy.range_for(m.sensor_id, m.x, m.y)
-                key = (round(m.x, 6), round(m.y, 6))
-                previous = self._reading_ema.get(key)
-                if previous is None:
-                    self._reading_ema[key] = m.cpm
-                else:
-                    self._reading_ema[key] = (
-                        self._ema_alpha * m.cpm + (1.0 - self._ema_alpha) * previous
-                    )
-                screened.append((m, fusion_range, credibility_weight))
-
-            selections = [
-                self._indices_within(m.x, m.y, fusion_range)
-                for m, fusion_range, _cred in screened
-            ]
-            admitted: List[tuple] = []
-            for (m, fusion_range, credibility_weight), indices in zip(
-                screened, selections
-            ):
-                self.last_touched = len(indices)
-                self.iteration += 1
-                if metrics.enabled:
-                    metrics.counter("localizer.iterations").inc()
-                    metrics.histogram("localizer.touched").observe(len(indices))
-                if len(indices) == 0:
-                    if metrics.enabled:
-                        metrics.counter("localizer.empty_subsets").inc()
-                    continue
-                interference = self._interference_for(m.x, m.y, fusion_range)
-                admitted.append(
-                    (m, fusion_range, indices, interference, credibility_weight)
-                )
-
-            if admitted:
-                # Phase B -- one fused likelihood pass over the whole batch.
-                log_like = backend.log_likelihood_batch(
-                    self.particles,
-                    np.array([entry[0].x for entry in admitted]),
-                    np.array([entry[0].y for entry in admitted]),
-                    np.array([entry[0].cpm for entry in admitted]),
-                    efficiency=config.assumed_efficiency,
-                    background_cpm=config.assumed_background_cpm,
-                    under_prediction_tempering=config.under_prediction_tempering,
-                    interference_cpm=np.array(
-                        [entry[3] for entry in admitted]
-                    ),
-                    credibility_weights=np.array(
-                        [entry[4] for entry in admitted]
-                    ),
-                )
-                if metrics.enabled:
-                    metrics.histogram("backend.weight_update_batch_size").observe(
-                        len(admitted)
-                    )
-                # Phase C -- apply every weight row against the same
-                # un-mutated population the likelihood matrix was computed
-                # on.  Interleaving resamples here would move particles out
-                # from under the remaining precomputed rows.
-                for row, (m, fusion_range, indices, _intf, _cred) in enumerate(
-                    admitted
-                ):
-                    backend.apply_log_likelihood(
-                        self.particles, indices, log_like[row]
-                    )
-                    self.particles.normalize()
-                # Phase D -- resample each reading's region in delivery
-                # order, re-querying membership against the now-current
-                # population (earlier resamples move particles in and out).
-                for m, fusion_range, indices, _intf, _cred in admitted:
-                    if np.isinf(fusion_range):
-                        resample_indices = np.arange(len(self.particles))
-                        resample_radius = None
-                    else:
-                        resample_radius = (
-                            config.resample_range_fraction * fusion_range
-                        )
-                        resample_indices = self._indices_within(
-                            m.x, m.y, resample_radius
-                        )
-                    stats = resample_subset(
-                        self.particles,
-                        resample_indices,
-                        config,
-                        self.rng,
-                        injection_center=(m.x, m.y),
-                        injection_radius=resample_radius,
-                        backend=backend,
-                    )
-                    self.particles.normalize()
-                    if metrics.enabled:
-                        metrics.counter("localizer.resampled_particles").inc(
-                            stats.n_resampled
-                        )
-                        metrics.counter("localizer.injected_particles").inc(
-                            stats.n_injected
-                        )
-            if metrics.enabled:
-                metrics.gauge("localizer.ess").set(
-                    self.particles.effective_sample_size()
-                )
-                self._flush_grid_metrics()
-                self._flush_backend_metrics()
-        finally:
-            self._in_observe = False
+        for measurement in measurements:
+            self.observe(measurement)
 
     def _assess_credibility(
         self, sensor_id: int, sensor_x: float, sensor_y: float, cpm: float

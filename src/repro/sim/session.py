@@ -446,8 +446,7 @@ class LocalizerSession:
 
     def _consume(self, batch) -> float:
         watch = Stopwatch().start()
-        # One fused weight update per delivery batch under an accelerated
-        # backend; the default backend loops observe() inside, bitwise.
+        # Every backend runs the per-reading observe() loop, in delivery order.
         self.localizer.observe_batch(list(batch))
         elapsed = watch.stop()
         self._total_seconds += elapsed

@@ -6,10 +6,7 @@ use reduced particle counts and time steps to stay fast; the full-scale
 numbers live in benchmarks/.
 """
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.core.fusion import InfiniteFusionRange
 from repro.eval.aggregate import mean_over_steps
@@ -32,12 +29,6 @@ class TestHeadlineAccuracy:
             tail = mean_over_steps(result.error_series(i), first_step=8)
             assert tail < 10.0, f"source {i + 1} tail error {tail}"
 
-    @pytest.mark.skipif(
-        (os.environ.get("REPRO_BACKEND") or "default") != "default",
-        reason="single-seed accuracy thresholds are calibrated against the "
-        "float64 reference; accelerated backends are tolerance-parity and "
-        "can land this seed on the other side of the bar",
-    )
     def test_three_sources(self):
         scenario = scenario_a_three_sources(
             strengths=(50.0, 50.0, 50.0), n_particles=3000, n_time_steps=15

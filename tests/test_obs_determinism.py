@@ -6,10 +6,7 @@ the tracer only reads clocks and emits events, never touches the RNG or
 the particle arrays.
 """
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.core.config import LocalizerConfig
 from repro.core.localizer import MultiSourceLocalizer
@@ -20,17 +17,6 @@ from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
 
 SEED = 17
-
-# Tracing forces observe_batch down the sequential loop (the fused
-# accelerated path skips per-reading trace events), and the fast
-# backend's fused batch is tolerance-parity with that loop, not bitwise.
-# So "traced run == plain run" only holds bit-for-bit when the resolved
-# backend is the float64 default.
-requires_default_backend = pytest.mark.skipif(
-    (os.environ.get("REPRO_BACKEND") or "default") != "default",
-    reason="traced runs fall back to the sequential observe loop, which is "
-    "only bitwise-identical to the batch path on the default backend",
-)
 
 
 def _run(tracer=None, metrics=None):
@@ -48,14 +34,12 @@ def assert_runs_identical(plain, instrumented):
         assert a.health == b.health
 
 
-@requires_default_backend
 def test_traced_run_bit_identical_to_plain():
     plain = _run()
     instrumented = _run(tracer=Tracer(InMemorySink()), metrics=MetricsRegistry())
     assert_runs_identical(plain, instrumented)
 
 
-@requires_default_backend
 def test_jsonl_traced_run_bit_identical_to_plain(tmp_path):
     from repro.obs.trace import jsonl_tracer
 
