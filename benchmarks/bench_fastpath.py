@@ -69,17 +69,17 @@ def _run(config, n_particles, n_iterations):
     network = SensorNetwork(
         scenario.sensors, scenario.field_with_obstacles(), measurement_rng
     )
-    with MultiSourceLocalizer(config, rng=filter_rng) as localizer:
-        for t in range(WARMUP_STEPS):
-            for measurement in network.measure_time_step(t):
-                localizer.observe(measurement)
-        measurements = network.measure_time_step(WARMUP_STEPS)
-        laps = []
-        for i in range(n_iterations):
-            start = time.perf_counter()
-            localizer.observe(measurements[i % len(measurements)])
-            localizer.estimates()
-            laps.append(time.perf_counter() - start)
+    localizer = MultiSourceLocalizer(config, rng=filter_rng)
+    for t in range(WARMUP_STEPS):
+        for measurement in network.measure_time_step(t):
+            localizer.observe(measurement)
+    measurements = network.measure_time_step(WARMUP_STEPS)
+    laps = []
+    for i in range(n_iterations):
+        start = time.perf_counter()
+        localizer.observe(measurements[i % len(measurements)])
+        localizer.estimates()
+        laps.append(time.perf_counter() - start)
     return float(np.median(laps)), localizer
 
 

@@ -45,7 +45,6 @@ from repro.core.meanshift import (
     mean_shift_modes,
     truncated_mean_shift_modes,
 )
-from repro.core.parallel import MeanShiftPool
 from repro.core.clustering import merge_modes, Mode
 from repro.core.estimator import SourceEstimate, extract_estimates
 from repro.core.resampling import resample_subset
@@ -74,7 +73,6 @@ __all__ = [
     "AutoFusionRange",
     "InfiniteFusionRange",
     "SpatialGridIndex",
-    "MeanShiftPool",
     "poisson_log_pmf",
     "reweight_in_place",
     "mean_shift",

@@ -488,9 +488,11 @@ class FastNumpyBackend(ArrayBackend):
 
         Same contract as ``truncated_mean_shift_modes``: results agree
         with the dense reference to well within the merge radius
-        (parity-tested), not bitwise.
+        (parity-tested), not bitwise.  The size gate lives in
+        :func:`repro.core.estimator.extract_estimates`, which calls this
+        only for populations it truncates.
         """
-        from repro.core.meanshift import mean_shift_modes, padded_candidate_rows
+        from repro.core.meanshift import padded_candidate_rows
 
         bandwidth = config.bandwidth
         truncation_sigmas = config.meanshift_truncation_sigmas
@@ -498,22 +500,6 @@ class FastNumpyBackend(ArrayBackend):
         total_weight = weights.sum()
         if total_weight <= 0:
             raise ValueError("mean-shift needs positive total weight")
-        if (
-            truncation_sigmas <= 0
-            or len(particles) < config.meanshift_truncation_min_particles
-        ):
-            # Small populations: the dense float64 sweep is already cheap
-            # and the padding machinery would dominate.
-            return mean_shift_modes(
-                seeds,
-                particles.positions,
-                weights,
-                bandwidth=bandwidth,
-                tol=config.meanshift_tol,
-                max_iter=config.meanshift_max_iter,
-                stats=stats,
-            )
-
         grid = particles.grid(config.grid_cell())
         scratch = self.scratch
         n_seeds = len(seeds)

@@ -193,13 +193,6 @@ class LocalizerConfig:
     #: truncation is enabled (the gather bookkeeping only pays off once
     #: the kernel matrix is large).
     meanshift_truncation_min_particles: int = 4096
-    #: Peak-memory bound for the truncated path: active seeds are
-    #: processed in tiles of at most this many gathered candidate points.
-    meanshift_tile_candidates: int = 200_000
-    #: Worker processes for mean-shift extraction.  1 runs in-process;
-    #: > 1 shards seeds across a persistent, lazily-built pool owned by
-    #: the localizer (exact: workers run the dense reference kernel).
-    meanshift_workers: int = 1
     #: Array backend for the hot kernels (see repro.core.backend):
     #: "default" (float64 reference, bitwise parity) or "fast" (float32
     #: SoA scratch-buffer kernels, tolerance parity).  None consults the
@@ -351,15 +344,6 @@ class LocalizerConfig:
                 f"meanshift_truncation_min_particles must be non-negative, "
                 f"got {self.meanshift_truncation_min_particles}"
             )
-        if self.meanshift_tile_candidates < 1:
-            raise ValueError(
-                f"meanshift_tile_candidates must be >= 1, "
-                f"got {self.meanshift_tile_candidates}"
-            )
-        if self.meanshift_workers < 1:
-            raise ValueError(
-                f"meanshift_workers must be >= 1, got {self.meanshift_workers}"
-            )
         if self.backend is not None and self.backend not in ("default", "fast"):
             raise ValueError(
                 f"backend must be None, 'default' or 'fast', got {self.backend!r}"
@@ -376,17 +360,15 @@ class LocalizerConfig:
     def without_fast_paths(self) -> "LocalizerConfig":
         """A copy running only the reference implementations.
 
-        Disables estimate caching, kernel truncation and the worker pool,
-        and pins the array backend to the float64 reference (an explicit
-        "default" here also shields the reference runs from a stray
-        REPRO_BACKEND environment override) -- the configuration every
-        fast path is parity-tested against (and the baseline of
-        ``bench_fastpath``).
+        Disables estimate caching and kernel truncation, and pins the
+        array backend to the float64 reference (an explicit "default"
+        here also shields the reference runs from a stray REPRO_BACKEND
+        environment override) -- the configuration every fast path is
+        parity-tested against (and the baseline of ``bench_fastpath``).
         """
         return replace(
             self,
             estimate_cache=False,
             meanshift_truncation_sigmas=0.0,
-            meanshift_workers=1,
             backend="default",
         )

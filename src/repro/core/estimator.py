@@ -132,7 +132,6 @@ def extract_estimates(
     config: LocalizerConfig,
     rng: Optional[np.random.Generator] = None,
     tracer: Optional[Tracer] = None,
-    pool=None,
     backend=None,
 ) -> List[SourceEstimate]:
     """The full Section V-D step: mean-shift, merge, filter, estimate.
@@ -140,19 +139,20 @@ def extract_estimates(
     Never needs (or produces) an assumed number of sources: every mode
     that survives the mass and strength filters is one estimated source.
 
-    The mean-shift sweep runs on one of four interchangeable paths,
-    chosen from the config's fast-path knobs (see docs/PERFORMANCE.md):
-    a ``pool`` (:class:`repro.core.parallel.MeanShiftPool`, exact,
-    process-sharded), an accelerated array ``backend``
-    (:mod:`repro.core.backend`, padded-SoA sweep, tolerance parity), the
-    grid-based truncated kernel (tight approximation, large populations
-    only), or the dense reference sweep.  ``backend=None`` resolves one
-    from ``config.backend``; the localizer passes its own instance so
-    scratch buffers persist across calls.
+    The mean-shift sweep runs on one of three kernels, chosen here and
+    nowhere else (see docs/PERFORMANCE.md).  Populations below the
+    truncation gate, or any population with truncation off, run the
+    dense reference sweep.  Above the gate, an accelerated array
+    ``backend`` (:mod:`repro.core.backend`) runs its padded-SoA sweep
+    (tolerance parity); otherwise the grid-based truncated kernel runs
+    (a tight approximation).  ``backend=None`` resolves one from
+    ``config.backend``; the localizer passes its own instance so scratch
+    buffers persist across calls.
 
     With an enabled ``tracer``, one ``extract`` event is emitted carrying
-    seed / sweep / mode counts, the backend (``path``), and per-phase
-    wall-clock seconds (``seed``, ``shift``, ``merge``, ``filter``).
+    seed / sweep / mode counts, the kernel that ran (``path``: ``dense``,
+    ``truncated`` or ``backend:<name>``), and per-phase wall-clock
+    seconds (``seed``, ``shift``, ``merge``, ``filter``).
     """
     tracer = NULL_TRACER if tracer is None else tracer
     traced = tracer.enabled
@@ -181,24 +181,23 @@ def extract_estimates(
         config.meanshift_truncation_sigmas > 0
         and n >= config.meanshift_truncation_min_particles
     )
-    if pool is not None:
-        path = "parallel"
-        converged, _densities = pool.run(
+    if not use_truncated:
+        path = "dense"
+        converged, _densities = mean_shift_modes(
             seeds,
             positions,
             weights,
             bandwidth=config.bandwidth,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
+            stats=shift_stats,
         )
-        if shift_stats is not None:
-            shift_stats["n_seeds"] = len(seeds)
     elif backend.accelerated:
         path = f"backend:{backend.name}"
         converged, _densities = backend.meanshift_modes(
             particles, seeds, config, stats=shift_stats
         )
-    elif use_truncated:
+    else:
         path = "truncated"
         converged, _densities = truncated_mean_shift_modes(
             seeds,
@@ -207,18 +206,6 @@ def extract_estimates(
             bandwidth=config.bandwidth,
             grid=particles.grid(config.grid_cell()),
             truncation_sigmas=config.meanshift_truncation_sigmas,
-            tol=config.meanshift_tol,
-            max_iter=config.meanshift_max_iter,
-            tile_candidates=config.meanshift_tile_candidates,
-            stats=shift_stats,
-        )
-    else:
-        path = "dense"
-        converged, _densities = mean_shift_modes(
-            seeds,
-            positions,
-            weights,
-            bandwidth=config.bandwidth,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
             stats=shift_stats,
@@ -244,7 +231,7 @@ def extract_estimates(
     # filters.  When the truncated sweep (reference or backend) already
     # built the grid for its gathers, the queries reuse it; otherwise they
     # are the brute-force scan.  Identical index sets either way.
-    if pool is None and use_truncated:
+    if use_truncated:
         support_sets = [
             particles.indices_within_grid(
                 mode.x, mode.y, support_radius, config.grid_cell()

@@ -30,7 +30,6 @@ from repro.core.config import LocalizerConfig
 from repro.core.estimator import SourceEstimate, extract_estimates
 from repro.core.fusion import FixedFusionRange, FusionRangePolicy
 from repro.core.integrity import SensorCredibility
-from repro.core.parallel import MeanShiftPool
 from repro.core.particles import ParticleSet
 from repro.core.resampling import NO_RESAMPLE, resample_subset
 from repro.core.weighting import reweight_in_place
@@ -133,9 +132,6 @@ class MultiSourceLocalizer:
         # reusable until the next mutation; the echo filter (which also
         # depends on the reading EMA) always re-runs on top.
         self._estimate_cache: Optional[tuple] = None
-        # Persistent mean-shift worker pool (config.meanshift_workers > 1),
-        # created lazily on the first extraction that can use it.
-        self._pool: Optional[MeanShiftPool] = None
         # Grid instrumentation watermarks (metrics report deltas).
         self._grid_rebuilds_seen = 0
         self._grid_queries_seen = 0
@@ -537,7 +533,7 @@ class MultiSourceLocalizer:
         tracer = NULL_TRACER if self._in_observe else self.tracer
         candidates = extract_estimates(
             self.particles, self.config, self.rng, tracer=tracer,
-            pool=self._meanshift_pool(), backend=self.backend,
+            backend=self.backend,
         )
         if config.estimate_cache:
             self._estimate_cache = (revision, candidates)
@@ -545,26 +541,6 @@ class MultiSourceLocalizer:
             self.metrics.counter("localizer.estimate_cache_misses").inc()
             self._flush_grid_metrics()
         return self._filter_echoes(candidates)
-
-    def _meanshift_pool(self) -> Optional[MeanShiftPool]:
-        """The persistent extraction pool (lazily built; None when serial)."""
-        if self.config.meanshift_workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = MeanShiftPool(self.config.meanshift_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Release the worker pool, if one was ever started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "MultiSourceLocalizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _filter_echoes(
         self, candidates: List[SourceEstimate]

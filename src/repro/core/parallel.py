@@ -1,36 +1,22 @@
-"""Process-parallel mean-shift (the paper's Section VI-E concurrency).
+"""A persistent, self-repairing process pool for multi-process subsystems.
 
-The paper reports that "the majority of the concurrency is achieved using
-the mean-shift technique" and shows ~5x speedup from 4 to 24 cores
-(Table I).  Our mean-shift is already BLAS-vectorized, so single-process
-throughput is high; this module adds the explicit multi-core dimension by
-sharding the mean-shift *seeds* across worker processes.  Each seed ascends
-independently, so the computation is embarrassingly parallel, exactly as
-the paper exploits.
-
-Note the realistic trade-off this exposes (and the Table I benchmark
-measures): for small populations the fork/pickle overhead exceeds the
-gain, while for 15000-particle populations with many seeds the sharded run
-wins -- the same "parallelism pays off at scale" shape as the paper's 4-
-vs 24-core columns.
+Each serving-layer shard and the experiment engine in :mod:`repro.exp`
+own one long-lived :class:`WorkerPool`.  Mean-shift extraction does not
+use one: it runs in-process (see
+:func:`repro.core.estimator.extract_estimates`).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Tuple
-
-import numpy as np
-
-from repro.core.meanshift import mean_shift_modes
+from typing import Callable, Iterable, List, Optional
 
 
 class WorkerPool:
     """A persistent, lazily-built, self-repairing process pool.
 
-    Generalizes the lifecycle that :class:`MeanShiftPool` proved out so any
-    subsystem (mean-shift sharding, the experiment engine in
+    Any subsystem (the serving shards, the experiment engine in
     :mod:`repro.exp`) can own one long-lived pool:
 
     * the executor is created on first use, not at construction, so a pool
@@ -162,159 +148,3 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "live" if self._executor is not None else "idle"
         return f"WorkerPool(n_workers={self.n_workers}, {state}, builds={self.builds})"
-
-# Worker state initialized once per process to avoid re-pickling the
-# particle arrays for every chunk.
-_WORKER_DATA: dict = {}
-
-
-def _init_worker(points: np.ndarray, weights: np.ndarray) -> None:
-    _WORKER_DATA["points"] = points
-    _WORKER_DATA["weights"] = weights
-
-
-def _run_chunk(args: Tuple[np.ndarray, float, float, int]) -> Tuple[np.ndarray, np.ndarray]:
-    seeds, bandwidth, tol, max_iter = args
-    return mean_shift_modes(
-        seeds,
-        _WORKER_DATA["points"],
-        _WORKER_DATA["weights"],
-        bandwidth=bandwidth,
-        tol=tol,
-        max_iter=max_iter,
-    )
-
-
-def parallel_mean_shift_modes(
-    seeds: np.ndarray,
-    points: np.ndarray,
-    weights: np.ndarray,
-    bandwidth: float,
-    tol: float = 1e-2,
-    max_iter: int = 100,
-    n_workers: int = 2,
-    executor: Optional[ProcessPoolExecutor] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Like :func:`repro.core.meanshift.mean_shift_modes`, sharded over processes.
-
-    Results are identical to the serial version (same seeds, same particle
-    data, deterministic iteration); only wall-clock time differs.  Pass a
-    pre-built ``executor`` to amortize process start-up across calls; note
-    that a reused executor must have been created with the same
-    ``points``/``weights`` via :func:`make_executor`.
-    """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if n_workers == 1 or len(seeds) < 2 * n_workers:
-        return mean_shift_modes(
-            seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-        )
-
-    chunks = np.array_split(seeds, n_workers)
-    args = [(chunk, bandwidth, tol, max_iter) for chunk in chunks if len(chunk)]
-
-    own_executor = executor is None
-    if own_executor:
-        executor = make_executor(points, weights, n_workers)
-    try:
-        results = list(executor.map(_run_chunk, args))
-    finally:
-        if own_executor:
-            executor.shutdown()
-    modes = np.vstack([r[0] for r in results])
-    densities = np.concatenate([r[1] for r in results])
-    return modes, densities
-
-
-def make_executor(
-    points: np.ndarray,
-    weights: np.ndarray,
-    n_workers: int,
-) -> ProcessPoolExecutor:
-    """A worker pool pre-loaded with the particle arrays."""
-    return ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_init_worker,
-        initargs=(np.asarray(points, dtype=float), np.asarray(weights, dtype=float)),
-    )
-
-
-def _run_chunk_with_data(
-    args: Tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    seeds, points, weights, bandwidth, tol, max_iter = args
-    return mean_shift_modes(
-        seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-    )
-
-
-class MeanShiftPool:
-    """A persistent, lazily-built process pool for mean-shift extraction.
-
-    :func:`make_executor` bakes one particle snapshot into the workers,
-    which suits a single extraction but not a localizer whose population
-    mutates every iteration.  This pool instead ships the current
-    ``points`` / ``weights`` with each call, amortizing only the process
-    start-up (the expensive part) across calls.  The executor is created
-    on first use and transparently rebuilt once if its workers died (e.g.
-    killed between calls), which is what lets a long-lived localizer own
-    one pool for its whole lifetime.
-
-    Results are bit-identical to the serial :func:`mean_shift_modes`:
-    workers run the same dense kernel on disjoint seed shards, and shard
-    order is preserved on reassembly.
-    """
-
-    def __init__(self, n_workers: int):
-        if n_workers < 2:
-            raise ValueError(f"MeanShiftPool needs n_workers >= 2, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self._pool = WorkerPool(self.n_workers)
-
-    @property
-    def builds(self) -> int:
-        """Executors created so far (1 after first use; +1 per repair)."""
-        return self._pool.builds
-
-    def run(
-        self,
-        seeds: np.ndarray,
-        points: np.ndarray,
-        weights: np.ndarray,
-        bandwidth: float,
-        tol: float = 1e-2,
-        max_iter: int = 100,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sharded :func:`mean_shift_modes`; serial below 2 seeds/worker."""
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        if len(seeds) < 2 * self.n_workers:
-            return mean_shift_modes(
-                seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-            )
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        chunks = np.array_split(seeds, self.n_workers)
-        args = [
-            (chunk, points, weights, bandwidth, tol, max_iter)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        results = self._pool.run_batch(_run_chunk_with_data, args)
-        modes = np.vstack([r[0] for r in results])
-        densities = np.concatenate([r[1] for r in results])
-        return modes, densities
-
-    def close(self) -> None:
-        """Shut the executor down (the pool can be reused; it rebuilds)."""
-        self._pool.close()
-
-    def __enter__(self) -> "MeanShiftPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "live" if self._pool._executor is not None else "idle"
-        return f"MeanShiftPool(n_workers={self.n_workers}, {state})"

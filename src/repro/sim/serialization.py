@@ -80,10 +80,16 @@ CHECKPOINT_VERSION = 1
 
 #: Localizer config keys that older documents (committed streams,
 #: existing checkpoints) carry but the config no longer has: the grid
-#: selection knobs.  Loading drops exactly these; any other unknown key
-#: still fails.
+#: selection knobs and the process-pool mean-shift knobs.  Loading drops
+#: exactly these; any other unknown key still fails.
 RETIRED_CONFIG_KEYS = frozenset(
-    {"use_grid_index", "grid_cell_size", "grid_incremental_threshold"}
+    {
+        "use_grid_index",
+        "grid_cell_size",
+        "grid_incremental_threshold",
+        "meanshift_workers",
+        "meanshift_tile_candidates",
+    }
 )
 
 

@@ -1,153 +1,11 @@
-"""Tests for the process-parallel mean-shift driver."""
+"""Tests for the persistent, self-repairing worker pool."""
 
 import signal
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.meanshift import mean_shift_modes
-from repro.core.parallel import (
-    MeanShiftPool,
-    WorkerPool,
-    make_executor,
-    parallel_mean_shift_modes,
-)
-
-
-def cluster_data(seed=0):
-    rng = np.random.default_rng(seed)
-    points = np.vstack(
-        [
-            rng.normal((20, 20), 2, size=(150, 2)),
-            rng.normal((80, 80), 2, size=(150, 2)),
-        ]
-    )
-    return points, np.ones(len(points))
-
-
-class TestParallelMeanShift:
-    def test_matches_serial_results(self):
-        points, weights = cluster_data()
-        rng = np.random.default_rng(1)
-        seeds = rng.uniform(0, 100, size=(12, 2))
-        serial_modes, serial_density = mean_shift_modes(
-            seeds.copy(), points, weights, bandwidth=5.0
-        )
-        parallel_modes, parallel_density = parallel_mean_shift_modes(
-            seeds.copy(), points, weights, bandwidth=5.0, n_workers=2
-        )
-        np.testing.assert_allclose(parallel_modes, serial_modes, atol=1e-9)
-        np.testing.assert_allclose(parallel_density, serial_density, atol=1e-12)
-
-    def test_single_worker_falls_back_to_serial(self):
-        points, weights = cluster_data()
-        seeds = np.array([[25.0, 25.0]])
-        modes, _ = parallel_mean_shift_modes(
-            seeds, points, weights, bandwidth=5.0, n_workers=1
-        )
-        assert np.linalg.norm(modes[0] - [20, 20]) < 2.0
-
-    def test_few_seeds_fall_back_to_serial(self):
-        # Fewer than 2*n_workers seeds: sharding overhead is pointless.
-        points, weights = cluster_data()
-        seeds = np.array([[25.0, 25.0], [75.0, 75.0]])
-        modes, _ = parallel_mean_shift_modes(
-            seeds, points, weights, bandwidth=5.0, n_workers=4
-        )
-        assert len(modes) == 2
-
-    def test_reusable_executor(self):
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(2).uniform(0, 100, size=(8, 2))
-        executor = make_executor(points, weights, 2)
-        try:
-            first, _ = parallel_mean_shift_modes(
-                seeds, points, weights, bandwidth=5.0, n_workers=2, executor=executor
-            )
-            second, _ = parallel_mean_shift_modes(
-                seeds, points, weights, bandwidth=5.0, n_workers=2, executor=executor
-            )
-            np.testing.assert_allclose(first, second)
-        finally:
-            executor.shutdown()
-
-    def test_invalid_workers(self):
-        points, weights = cluster_data()
-        with pytest.raises(ValueError):
-            parallel_mean_shift_modes(
-                np.zeros((4, 2)), points, weights, bandwidth=5.0, n_workers=0
-            )
-
-
-class TestMeanShiftPool:
-    def test_rejects_single_worker(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            MeanShiftPool(1)
-
-    def test_matches_serial_results(self):
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(3).uniform(0, 100, size=(12, 2))
-        serial_modes, serial_density = mean_shift_modes(
-            seeds.copy(), points, weights, bandwidth=5.0
-        )
-        with MeanShiftPool(2) as pool:
-            pool_modes, pool_density = pool.run(
-                seeds.copy(), points, weights, bandwidth=5.0
-            )
-        np.testing.assert_allclose(pool_modes, serial_modes, atol=1e-9)
-        np.testing.assert_allclose(pool_density, serial_density, atol=1e-12)
-
-    def test_lazy_build_and_serial_fallback(self):
-        points, weights = cluster_data()
-        pool = MeanShiftPool(4)
-        try:
-            assert pool.builds == 0
-            # Below 2 seeds/worker: serial path, no executor started.
-            modes, _ = pool.run(
-                np.array([[25.0, 25.0]]), points, weights, bandwidth=5.0
-            )
-            assert pool.builds == 0
-            assert np.linalg.norm(modes[0] - [20, 20]) < 2.0
-        finally:
-            pool.close()
-
-    def test_handles_mutated_data_between_calls(self):
-        # Unlike make_executor, the pool ships data per call, so results
-        # track population mutations.
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(4).uniform(0, 100, size=(8, 2))
-        with MeanShiftPool(2) as pool:
-            first, _ = pool.run(seeds.copy(), points, weights, bandwidth=5.0)
-            shifted = points + 7.0
-            second, _ = pool.run(seeds.copy() + 7.0, shifted, weights, bandwidth=5.0)
-        np.testing.assert_allclose(second, first + 7.0, atol=1e-6)
-
-    def test_rebuilds_after_close(self):
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(5).uniform(0, 100, size=(8, 2))
-        pool = MeanShiftPool(2)
-        try:
-            pool.run(seeds, points, weights, bandwidth=5.0)
-            assert pool.builds == 1
-            pool.close()
-            modes, _ = pool.run(seeds, points, weights, bandwidth=5.0)
-            assert pool.builds == 2
-            assert len(modes) == len(seeds)
-        finally:
-            pool.close()
-
-    def test_repr_reports_state(self):
-        pool = MeanShiftPool(2)
-        assert "idle" in repr(pool)
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(6).uniform(0, 100, size=(8, 2))
-        try:
-            pool.run(seeds, points, weights, bandwidth=5.0)
-            assert "live" in repr(pool)
-        finally:
-            pool.close()
-        assert "idle" in repr(pool)
+from repro.core.parallel import WorkerPool
 
 
 def _square(x):

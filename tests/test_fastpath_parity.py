@@ -1,7 +1,7 @@
 """End-to-end parity tests for the fast-path compute layer.
 
-Every fast path (estimate caching, kernel truncation, worker pool)
-must be indistinguishable from the reference implementation
+Every fast path (estimate caching, kernel truncation, the float32
+backend) must be indistinguishable from the reference implementation
 it replaces -- bit-identical where the path is exact, within a tight
 tolerance where it is approximate.  The drivers here run the same
 measurement stream through a fast-path localizer and a
@@ -9,7 +9,6 @@ measurement stream through a fast-path localizer and a
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LocalizerConfig
@@ -212,36 +211,6 @@ class TestGridMetrics:
         assert localizer.particles.grid_rebuilds == 0
         assert metrics.counter("localizer.grid_rebuilds").value == 0
         assert metrics.counter("localizer.grid_queries").value == 0
-
-
-class TestPoolWiring:
-    def test_pool_estimates_match_serial(self):
-        stream = measurement_stream(SOURCES)
-        config = base_config(estimate_cache=False, meanshift_truncation_sigmas=0.0)
-        serial = MultiSourceLocalizer(config, rng=np.random.default_rng(0))
-        with MultiSourceLocalizer(
-            config.with_overrides(meanshift_workers=2),
-            rng=np.random.default_rng(0),
-        ) as pooled:
-            for m in stream:
-                serial.observe(m)
-                pooled.observe(m)
-            a = serial.estimates()
-            b = pooled.estimates()
-            assert pooled._pool is not None  # the pool actually ran
-        assert len(a) == len(b)
-        for ea, eb in zip(a, b):
-            assert ea.x == pytest.approx(eb.x, abs=1e-9)
-            assert ea.y == pytest.approx(eb.y, abs=1e-9)
-
-    def test_close_is_idempotent_and_serial_never_builds(self):
-        localizer = MultiSourceLocalizer(
-            base_config(), rng=np.random.default_rng(0)
-        )
-        assert localizer._meanshift_pool() is None
-        localizer.close()
-        localizer.close()
-        assert localizer._pool is None
 
 
 class TestFullFastPathAccuracy:

@@ -8,10 +8,13 @@ import pytest
 
 import repro.core.estimator as estimator_module
 import repro.core.localizer as localizer_module
+from repro.core.backend import FastNumpyBackend
 from repro.core.config import LocalizerConfig
 from repro.core.localizer import MultiSourceLocalizer
 from repro.obs.sinks import InMemorySink, JsonlSink, NullSink, read_jsonl
 from repro.obs.trace import NULL_TRACER, Tracer, jsonl_tracer
+from repro.sensors.network import SensorNetwork
+from repro.sim.scenarios import scenario_a
 
 
 def make_localizer(tracer=None, metrics=None, n_particles=400, seed=5):
@@ -127,6 +130,54 @@ class TestLocalizerInstrumentation:
         assert sum(event["phases"].values()) == pytest.approx(
             event["total_seconds"], rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "backend, min_particles, expected",
+        [
+            ("default", 4096, "dense"),
+            ("fast", 4096, "dense"),
+            ("default", 256, "truncated"),
+            ("fast", 256, "backend:fast"),
+        ],
+    )
+    def test_extract_path_names_the_kernel_that_ran(
+        self, monkeypatch, backend, min_particles, expected
+    ):
+        ran = []
+
+        def recording(label, kernel):
+            def wrapper(*args, **kwargs):
+                ran.append(label)
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for label, owner, name in [
+            ("dense", estimator_module, "mean_shift_modes"),
+            ("truncated", estimator_module, "truncated_mean_shift_modes"),
+            ("backend:fast", FastNumpyBackend, "meanshift_modes"),
+        ]:
+            monkeypatch.setattr(
+                owner, name, recording(label, getattr(owner, name))
+            )
+        scenario = scenario_a(strengths=(50.0, 50.0), n_particles=500)
+        config = scenario.localizer_config.with_overrides(
+            backend=backend, meanshift_truncation_min_particles=min_particles
+        )
+        sink = InMemorySink()
+        localizer = MultiSourceLocalizer(
+            config, rng=np.random.default_rng(5), tracer=Tracer(sink)
+        )
+        network = SensorNetwork(
+            scenario.sensors, scenario.field_with_obstacles(),
+            np.random.default_rng(1),
+        )
+        for t in range(2):
+            localizer.observe_batch(network.measure_time_step(t))
+        localizer.estimates()
+        [event] = sink.of_type("extract")
+        assert ran == [expected]
+        assert event["path"] == expected
 
     def test_interference_refresh_does_not_emit_nested_extract(self):
         sink = InMemorySink()

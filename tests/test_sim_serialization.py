@@ -11,6 +11,7 @@ from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a, scenario_b, scenario_c
 from repro.sim.serialization import (
     FORMAT_VERSION,
+    RETIRED_CONFIG_KEYS,
     load_scenario,
     run_result_from_dict,
     run_result_to_dict,
@@ -111,15 +112,21 @@ class TestFiles:
         assert scenario.name == "hand"
         assert scenario.localizer_config is not None  # default built
 
-    def test_retired_grid_keys_are_dropped(self):
+    #: A value each retired key carried in older documents.
+    RETIRED_VALUES = {
+        "use_grid_index": True,
+        "grid_cell_size": None,
+        "grid_incremental_threshold": 0.25,
+        "meanshift_workers": 2,
+        "meanshift_tile_candidates": 200_000,
+    }
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_CONFIG_KEYS))
+    def test_retired_grid_keys_are_dropped(self, key):
         # Committed streams and older checkpoints still carry the retired
-        # grid-selection knobs in their localizer config.
+        # grid-selection and mean-shift pool knobs in their localizer config.
         doc = scenario_to_dict(scenario_a())
-        doc["localizer_config"].update(
-            use_grid_index=True,
-            grid_cell_size=None,
-            grid_incremental_threshold=0.25,
-        )
+        doc["localizer_config"][key] = self.RETIRED_VALUES[key]
         restored = scenario_from_dict(doc)
         assert restored.localizer_config == scenario_a().localizer_config
 
