@@ -1,9 +1,11 @@
 """Fast-path compute layer: speedup and parity on the Table I scenario.
 
-Compares the default configuration (estimate cache + truncated-kernel
-mean-shift) against ``config.without_fast_paths()`` --
-the reference implementations every fast path is parity-tested against --
-on the paper's hardest Table I cell: 15000 particles, N = 196 sensors.
+Compares the default configuration (truncated-kernel mean-shift above
+the size gate) against the reference every fast path is parity-tested
+against -- the dense float64 mean-shift on the ``default`` backend,
+reached by raising ``estimator.TRUNCATION_MIN_PARTICLES`` past any
+population -- on the paper's hardest Table I cell: 15000 particles,
+N = 196 sensors.
 
 Two artifacts come out of the full run:
 
@@ -16,13 +18,15 @@ asserts parity only (never wall-clock), so CI can catch fast-path
 regressions on shared runners without flaking on timing.
 """
 
+import contextlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_bench_json
-from repro.core.backend import ArrayBackend
+from repro.core import estimator
 from repro.core.estimator import extract_estimates
 from repro.core.localizer import MultiSourceLocalizer
 from repro.core.meanshift import select_seeds, truncated_mean_shift_modes
@@ -54,6 +58,19 @@ BACKEND_PARITY_TOLERANCE = 0.02
 PARITY_SEED = 7
 
 
+@contextlib.contextmanager
+def _dense_reference(monkeypatch):
+    """Inside, no population reaches the truncation gate.
+
+    Every extraction then runs the dense float64 mean-shift: with the
+    ``default`` backend that is the reference every fast path is
+    parity-tested against.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "TRUNCATION_MIN_PARTICLES", sys.maxsize)
+        yield
+
+
 def _run(config, n_particles, n_iterations):
     """Observe+estimate iterations under ``config``.
 
@@ -83,7 +100,7 @@ def _run(config, n_particles, n_iterations):
     return float(np.median(laps)), localizer
 
 
-def _extraction_parity(localizer, config, tolerance=PARITY_TOLERANCE):
+def _extraction_parity(localizer, config, monkeypatch, tolerance=PARITY_TOLERANCE):
     """Fast vs reference extraction on the SAME final population.
 
     End-to-end trajectories legitimately drift apart between the two
@@ -98,11 +115,12 @@ def _extraction_parity(localizer, config, tolerance=PARITY_TOLERANCE):
     fast = extract_estimates(
         particles, config, np.random.default_rng(PARITY_SEED)
     )
-    reference = extract_estimates(
-        particles,
-        config.without_fast_paths(),
-        np.random.default_rng(PARITY_SEED),
-    )
+    with _dense_reference(monkeypatch):
+        reference = extract_estimates(
+            particles,
+            config.with_overrides(backend="default"),
+            np.random.default_rng(PARITY_SEED),
+        )
     assert len(fast) == len(reference), (
         f"fast extraction found {len(fast)} candidates, "
         f"reference found {len(reference)}"
@@ -137,7 +155,6 @@ def _kernel_timings(localizer, config):
     """
     particles = localizer.particles
     backend = localizer.backend
-    reference = ArrayBackend()
     seeds = select_seeds(
         particles.positions,
         particles.weights,
@@ -156,29 +173,17 @@ def _kernel_timings(localizer, config):
             particles.weights,
             bandwidth=config.bandwidth,
             grid=grid,
-            truncation_sigmas=config.meanshift_truncation_sigmas,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
         )
 
-    weights = np.abs(particles.weights) + 1e-12
-    total = float(weights.sum())
-
-    def fast_prefix_sum():
-        backend.prefix_sum(weights, total)
-
-    def reference_prefix_sum():
-        reference.prefix_sum(weights, total)
-
     return {
         "meanshift_backend_ms": _time_ms(backend_meanshift),
         "meanshift_truncated_ms": _time_ms(truncated_meanshift),
-        "prefix_sum_fast_ms": _time_ms(fast_prefix_sum),
-        "prefix_sum_reference_ms": _time_ms(reference_prefix_sum),
     }
 
 
-def test_fastpath_speedup_table1(report, benchmark):
+def test_fastpath_speedup_table1(report, benchmark, monkeypatch):
     """The headline numbers on the 15000-particle / N=196 cell.
 
     The cache+truncated layer must clear 2x; the float32 SoA
@@ -188,18 +193,23 @@ def test_fastpath_speedup_table1(report, benchmark):
 
     def measure():
         scenario_config = scenario_b(n_particles=n_particles).localizer_config
-        ref_seconds, _ref = _run(
-            scenario_config.without_fast_paths(), n_particles, TIMED_ITERATIONS
-        )
+        with _dense_reference(monkeypatch):
+            ref_seconds, _ref = _run(
+                scenario_config.with_overrides(backend="default"),
+                n_particles,
+                TIMED_ITERATIONS,
+            )
         fast_seconds, fast_localizer = _run(
             scenario_config, n_particles, TIMED_ITERATIONS
         )
-        deltas = _extraction_parity(fast_localizer, scenario_config)
+        deltas = _extraction_parity(fast_localizer, scenario_config, monkeypatch)
         backend_config = scenario_config.with_overrides(backend="fast")
         backend_seconds, backend_localizer = _run(
             backend_config, n_particles, TIMED_ITERATIONS
         )
-        backend_deltas = _extraction_parity(backend_localizer, backend_config)
+        backend_deltas = _extraction_parity(
+            backend_localizer, backend_config, monkeypatch
+        )
         kernels = _kernel_timings(backend_localizer, backend_config)
         return (
             ref_seconds, fast_seconds, deltas,
@@ -290,7 +300,7 @@ def test_fastpath_speedup_table1(report, benchmark):
     )
 
 
-def test_fastpath_smoke_parity(report, benchmark):
+def test_fastpath_smoke_parity(report, benchmark, monkeypatch):
     """Reduced-scenario parity check for CI: parity gates, never ms.
 
     2000 particles with the truncation gate lowered so every fast path
@@ -302,19 +312,21 @@ def test_fastpath_smoke_parity(report, benchmark):
     below the full bench's bar so shared runners cannot flake the gate.
     """
     n_particles = 2000
+    monkeypatch.setattr(estimator, "TRUNCATION_MIN_PARTICLES", 256)
 
     def measure():
-        scenario_config = scenario_b(
-            n_particles=n_particles
-        ).localizer_config.with_overrides(meanshift_truncation_min_particles=256)
-        ref_seconds, _ref = _run(
-            scenario_config.without_fast_paths(), n_particles, 4
-        )
+        scenario_config = scenario_b(n_particles=n_particles).localizer_config
+        with _dense_reference(monkeypatch):
+            ref_seconds, _ref = _run(
+                scenario_config.with_overrides(backend="default"), n_particles, 4
+            )
         fast_seconds, fast_localizer = _run(scenario_config, n_particles, 4)
-        deltas = _extraction_parity(fast_localizer, scenario_config)
+        deltas = _extraction_parity(fast_localizer, scenario_config, monkeypatch)
         backend_config = scenario_config.with_overrides(backend="fast")
         backend_seconds, backend_localizer = _run(backend_config, n_particles, 4)
-        backend_deltas = _extraction_parity(backend_localizer, backend_config)
+        backend_deltas = _extraction_parity(
+            backend_localizer, backend_config, monkeypatch
+        )
         return (
             ref_seconds, fast_seconds, deltas, backend_seconds, backend_deltas,
         )

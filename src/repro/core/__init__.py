@@ -24,9 +24,7 @@ iteration** with no ordering requirement:
 from repro.core.backend import (
     ArrayBackend,
     FastNumpyBackend,
-    NumpyBackend,
     ScratchPool,
-    available_backends,
     get_backend,
     resolve_backend_name,
 )
@@ -61,9 +59,7 @@ from repro.core.diagnostics import (
 __all__ = [
     "ArrayBackend",
     "FastNumpyBackend",
-    "NumpyBackend",
     "ScratchPool",
-    "available_backends",
     "get_backend",
     "resolve_backend_name",
     "LocalizerConfig",

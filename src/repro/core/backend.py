@@ -1,36 +1,31 @@
 """Pluggable array backends for the localizer's hot kernels.
 
-Profiling the Table-1 cell (15000 particles, N = 196) shows the remaining
-wall is not numpy itself but *how* the kernels are driven: ragged
-per-seed gathers and ``np.repeat`` copies in the truncated mean-shift,
-and a fresh temporary for every intermediate array.  An
-:class:`ArrayBackend` owns those kernels -- the per-reading Poisson
-weight update, the segmented mean-shift reduction, and the resampling
-prefix-sum -- so the driver code (``weighting``, ``resampling``,
-``estimator``, ``localizer``) stays backend-agnostic:
+``LocalizerConfig.backend`` names one of two backends, and the name is
+the only compute setting the localizer has:
 
-* :class:`NumpyBackend` (``"default"``) delegates to the float64
-  reference implementations and is **bitwise-identical** to the code it
-  replaced -- the existing parity contract is untouched.
-* :class:`FastNumpyBackend` (``"fast"``) computes in float32 over
-  structure-of-arrays scratch buffers preallocated per step: every O(n)
-  temporary on the weight path comes from the :class:`ScratchPool`, so
-  steady-state iterations allocate **zero** new buffers (verified by the
-  pool's allocation counter, surfaced as the
-  ``backend.allocations_per_step`` metric).  Accelerated kernels carry a
-  tolerance-based parity suite, not a bitwise one.
+* :class:`ArrayBackend` (``"default"``) defines no kernels.  Its
+  ``accelerated`` flag is false, so the drivers that dispatch on it
+  (``weighting``, ``estimator``) run their float64 reference code and
+  results stay **bitwise-identical** to the reference.
+* :class:`FastNumpyBackend` (``"fast"``) overrides exactly two kernels,
+  both in float32 over structure-of-arrays scratch buffers: the
+  per-reading Poisson weight update (:meth:`FastNumpyBackend.reweight`)
+  and the padded truncated mean-shift
+  (:meth:`FastNumpyBackend.meanshift_modes`).  Every O(n) temporary on
+  the weight path comes from the :class:`ScratchPool`, so steady-state
+  iterations allocate **zero** new buffers (surfaced as the
+  ``backend.allocations_per_step`` metric).  Parity with the reference
+  is tolerance-based, not bitwise.
 
 Selection precedence: CLI ``--backend`` (which overwrites the config
 field) > ``LocalizerConfig.backend`` > the ``REPRO_BACKEND`` environment
-variable > ``"default"``.  See docs/PERFORMANCE.md for the capability
-matrix.
+variable > ``"default"``.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -41,19 +36,11 @@ if TYPE_CHECKING:
     from repro.core.config import LocalizerConfig
     from repro.core.particles import ParticleSet
 
-logger = logging.getLogger(__name__)
-
 #: Environment variable consulted when the config leaves the backend unset.
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Every selectable backend name, in documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("default", "fast")
-
-#: Compute dtype per backend (importable without instantiating anything).
-BACKEND_DTYPES: Dict[str, str] = {
-    "default": "float64",
-    "fast": "float32",
-}
 
 
 def resolve_backend_name(configured: Optional[str]) -> str:
@@ -72,23 +59,15 @@ def resolve_backend_name(configured: Optional[str]) -> str:
     return name
 
 
-def available_backends() -> Dict[str, bool]:
-    """Name -> availability in this environment."""
-    return {name: True for name in BACKEND_NAMES}
-
-
 def get_backend(configured: Optional[str] = None) -> "ArrayBackend":
     """A fresh backend instance for a config value (see :func:`resolve_backend_name`).
 
-    Instances own their scratch pools, so every localizer gets its own
-    (two localizers must never share hot buffers).
+    A ``fast`` instance owns its scratch pool, so every localizer gets
+    its own (two localizers must never share hot buffers).
     """
-    name = resolve_backend_name(configured)
-    if name == "default":
-        return NumpyBackend()
-    if name == "fast":
+    if resolve_backend_name(configured) == "fast":
         return FastNumpyBackend()
-    raise ValueError(f"unknown backend {name!r}")  # pragma: no cover
+    return ArrayBackend()
 
 
 class ScratchPool:
@@ -147,124 +126,20 @@ class ScratchPool:
 
 
 class ArrayBackend:
-    """Kernel provider interface plus the shared bookkeeping.
+    """The ``"default"`` backend: float64, no kernels of its own.
 
-    The base class *is* the reference provider contract: subclasses
-    override the kernels they accelerate and inherit exact behavior for
-    the rest.  ``accelerated`` is the dispatch switch the drivers test --
-    a non-accelerated backend routes every call through the unmodified
-    reference code paths, preserving the bitwise-parity contract by
-    construction.
+    ``accelerated`` is the dispatch switch the drivers test; here it is
+    false, so every call runs the unmodified reference code and the
+    bitwise-parity contract holds by construction.
     """
 
     name: str = "default"
     dtype: np.dtype = np.dtype(np.float64)
     accelerated: bool = False
 
-    def __init__(self) -> None:
-        self.scratch = ScratchPool()
-
     def describe(self) -> Dict[str, str]:
         """JSON-safe identity, recorded in manifests and checkpoints."""
         return {"name": self.name, "dtype": str(self.dtype)}
-
-    def begin_step(self) -> None:
-        self.scratch.begin_step()
-
-    # --- weight path -----------------------------------------------------------
-
-    def reweight(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        observed_cpm: float,
-        sensor_x: float,
-        sensor_y: float,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: np.ndarray | float = 0.0,
-        credibility_weight: float = 1.0,
-    ) -> None:
-        """One measurement's Bayesian weight update (reference float64)."""
-        from repro.core.weighting import reweight_in_place
-
-        reweight_in_place(
-            particles,
-            indices,
-            observed_cpm,
-            sensor_x,
-            sensor_y,
-            efficiency=efficiency,
-            background_cpm=background_cpm,
-            under_prediction_tempering=under_prediction_tempering,
-            interference_cpm=interference_cpm,
-            credibility_weight=credibility_weight,
-        )
-
-    # --- resampling ------------------------------------------------------------
-
-    def prefix_sum(self, weights: np.ndarray, total: float) -> np.ndarray:
-        """Normalized inclusive prefix-sum of positive-total weights.
-
-        The systematic-resampling comb searches this; the reference form
-        is ``np.cumsum(weights / total)`` with the final entry clamped to
-        exactly 1.0.
-        """
-        cumulative = np.cumsum(weights / total)
-        cumulative[-1] = 1.0
-        return cumulative
-
-    # --- estimation ------------------------------------------------------------
-
-    def meanshift_modes(
-        self,
-        particles: "ParticleSet",
-        seeds: np.ndarray,
-        config: "LocalizerConfig",
-        stats: Optional[dict] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Segmented mean-shift reduction over the particle population.
-
-        Only accelerated backends provide this; the default routes
-        through the existing truncated/dense drivers in
-        :mod:`repro.core.meanshift`.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no mean-shift kernel; "
-            "use the meanshift module drivers"
-        )
-
-    # --- ground-truth transport -------------------------------------------------
-
-    def source_intensity_fold(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        sources: Sequence,
-        exponents: np.ndarray,
-    ) -> np.ndarray:
-        """Total attenuated intensity of all sources at each point.
-
-        The inner fold of :func:`repro.physics.intensity.batched_expected_cpm`
-        (before the CPM conversion / efficiency / background affine).  The
-        reference left-fold accumulates sources in order, matching the
-        scalar summation bitwise.
-        """
-        total = np.zeros(len(xs), dtype=float)
-        for j, source in enumerate(sources):
-            dx = xs - source.x
-            dy = ys - source.y
-            total += (
-                source.strength
-                / (1.0 + dx * dx + dy * dy)
-                * np.exp(-exponents[:, j])
-            )
-        return total
-
-
-class NumpyBackend(ArrayBackend):
-    """The float64 reference backend (``"default"``): bitwise parity."""
 
 
 class FastNumpyBackend(ArrayBackend):
@@ -288,9 +163,13 @@ class FastNumpyBackend(ArrayBackend):
     _TINY_TOTAL = np.float32(1e-30)
 
     def __init__(self) -> None:
-        super().__init__()
+        self.scratch = ScratchPool()
         self._mirror_revision = -1
         self._mirror_size = -1
+
+    def begin_step(self) -> None:
+        """Open a new scratch accounting window (one localizer iteration)."""
+        self.scratch.begin_step()
 
     # --- float32 mirrors -------------------------------------------------------
 
@@ -458,15 +337,6 @@ class FastNumpyBackend(ArrayBackend):
             np.copyto(log_like, tempered, where=under)
         return log_like
 
-    # --- resampling ------------------------------------------------------------
-
-    def prefix_sum(self, weights: np.ndarray, total: float) -> np.ndarray:
-        cumulative = self.scratch.get("rs.cum", (len(weights),), np.float64)
-        np.cumsum(weights, out=cumulative)
-        np.divide(cumulative, total, out=cumulative)
-        cumulative[-1] = 1.0
-        return cumulative
-
     # --- mean-shift ------------------------------------------------------------
 
     def meanshift_modes(
@@ -492,10 +362,9 @@ class FastNumpyBackend(ArrayBackend):
         :func:`repro.core.estimator.extract_estimates`, which calls this
         only for populations it truncates.
         """
-        from repro.core.meanshift import padded_candidate_rows
+        from repro.core.meanshift import TRUNCATION_SIGMAS, padded_candidate_rows
 
         bandwidth = config.bandwidth
-        truncation_sigmas = config.meanshift_truncation_sigmas
         weights = particles.weights
         total_weight = weights.sum()
         if total_weight <= 0:
@@ -503,7 +372,7 @@ class FastNumpyBackend(ArrayBackend):
         grid = particles.grid(config.grid_cell())
         scratch = self.scratch
         n_seeds = len(seeds)
-        radius = truncation_sigmas * bandwidth
+        radius = TRUNCATION_SIGMAS * bandwidth
         margin = bandwidth
         gather_radius = radius + margin
         inv_two_h_sq = np.float32(0.5 / (bandwidth * bandwidth))
@@ -821,24 +690,3 @@ class FastNumpyBackend(ArrayBackend):
             stats["candidates"] = candidates_total
             stats["merges"] = merges
         return modes, densities
-
-    # --- ground-truth transport -------------------------------------------------
-
-    def source_intensity_fold(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        sources: Sequence,
-        exponents: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized fold: all sources in one broadcasted float32 pass."""
-        if not len(sources):
-            return np.zeros(len(xs), dtype=float)
-        sx = np.array([s.x for s in sources], dtype=np.float32)
-        sy = np.array([s.y for s in sources], dtype=np.float32)
-        strength = np.array([s.strength for s in sources], dtype=np.float32)
-        dx = np.asarray(xs, dtype=np.float32)[:, None] - sx[None, :]
-        dy = np.asarray(ys, dtype=np.float32)[:, None] - sy[None, :]
-        contributions = strength[None, :] / (1.0 + dx * dx + dy * dy)
-        contributions *= np.exp(-exponents.astype(np.float32))
-        return contributions.sum(axis=1, dtype=np.float64)

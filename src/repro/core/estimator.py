@@ -38,6 +38,11 @@ from repro.core.meanshift import (
 from repro.core.particles import ParticleSet
 from repro.obs.trace import NULL_TRACER, Tracer
 
+#: Populations smaller than this run the dense mean-shift: the truncated
+#: kernels' gather bookkeeping only pays off once the (seeds x particles)
+#: kernel matrix is large.  Read at call time, so tests can move the gate.
+TRUNCATION_MIN_PARTICLES = 4096
+
 
 @dataclass(frozen=True)
 class SourceEstimate:
@@ -140,9 +145,9 @@ def extract_estimates(
     that survives the mass and strength filters is one estimated source.
 
     The mean-shift sweep runs on one of three kernels, chosen here and
-    nowhere else (see docs/PERFORMANCE.md).  Populations below the
-    truncation gate, or any population with truncation off, run the
-    dense reference sweep.  Above the gate, an accelerated array
+    nowhere else (see docs/PERFORMANCE.md).  Populations below
+    :data:`TRUNCATION_MIN_PARTICLES` run the dense reference sweep.
+    At or above it, an accelerated array
     ``backend`` (:mod:`repro.core.backend`) runs its padded-SoA sweep
     (tolerance parity); otherwise the grid-based truncated kernel runs
     (a tight approximation).  ``backend=None`` resolves one from
@@ -176,11 +181,7 @@ def extract_estimates(
         t_now = perf_counter()
         phases["seed"] = t_now - t_prev
         t_prev = t_now
-    n = len(particles)
-    use_truncated = (
-        config.meanshift_truncation_sigmas > 0
-        and n >= config.meanshift_truncation_min_particles
-    )
+    use_truncated = len(particles) >= TRUNCATION_MIN_PARTICLES
     if not use_truncated:
         path = "dense"
         converged, _densities = mean_shift_modes(
@@ -205,7 +206,6 @@ def extract_estimates(
             weights,
             bandwidth=config.bandwidth,
             grid=particles.grid(config.grid_cell()),
-            truncation_sigmas=config.meanshift_truncation_sigmas,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
             stats=shift_stats,

@@ -297,7 +297,6 @@ class MultiSourceLocalizer:
                 self.rng,
                 injection_center=(sensor_x, sensor_y),
                 injection_radius=resample_radius,
-                backend=self.backend,
             )
             self.particles.normalize()
             if traced:
@@ -512,17 +511,16 @@ class MultiSourceLocalizer:
         explain-away echo filter; the length of the list is the
         algorithm's belief about the number of sources K.
 
-        With ``config.estimate_cache`` (default), the mean-shift
-        extraction is cached keyed on the particle revision: repeated
-        calls on an unmutated population -- the interference refresh,
-        per-step diagnostics, ``estimated_source_count()`` -- reuse the
-        candidate set instead of re-running mean-shift.  The echo filter
-        is recomputed every call (it also depends on the reading EMA).
+        The mean-shift extraction is cached keyed on the particle
+        revision (exact): repeated calls on an unmutated population --
+        the interference refresh, per-step diagnostics,
+        ``estimated_source_count()`` -- reuse the candidate set instead
+        of re-running mean-shift.  The echo filter is recomputed every
+        call (it also depends on the reading EMA).
         """
-        config = self.config
         cached = self._estimate_cache
         revision = self.particles.revision
-        if config.estimate_cache and cached is not None and cached[0] == revision:
+        if cached is not None and cached[0] == revision:
             if self.metrics.enabled:
                 self.metrics.counter("localizer.estimate_cache_hits").inc()
             return self._filter_echoes(cached[1])
@@ -535,8 +533,7 @@ class MultiSourceLocalizer:
             self.particles, self.config, self.rng, tracer=tracer,
             backend=self.backend,
         )
-        if config.estimate_cache:
-            self._estimate_cache = (revision, candidates)
+        self._estimate_cache = (revision, candidates)
         if self.metrics.enabled:
             self.metrics.counter("localizer.estimate_cache_misses").inc()
             self._flush_grid_metrics()

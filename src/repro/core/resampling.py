@@ -39,26 +39,20 @@ def systematic_resample_indices(
     weights: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    backend=None,
 ) -> np.ndarray:
     """Systematic (low-variance) resampling: n draws from ``weights``.
 
     Systematic resampling uses a single uniform offset and a stratified
     comb, giving lower Monte-Carlo variance than independent multinomial
     draws -- the standard choice in particle filtering.
-    Falls back to uniform if the weights are degenerate.  An accelerated
-    ``backend`` supplies the prefix-sum from reusable scratch (the comb
-    itself stays float64 so the drawn indices stay exact).
+    Falls back to uniform if the weights are degenerate.
     """
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0 or not np.isfinite(total):
         return rng.integers(0, len(weights), size=n)
-    if backend is not None and backend.accelerated:
-        cumulative = backend.prefix_sum(weights, total)
-    else:
-        cumulative = np.cumsum(weights / total)
-        cumulative[-1] = 1.0  # guard against floating-point undershoot
+    cumulative = np.cumsum(weights / total)
+    cumulative[-1] = 1.0  # guard against floating-point undershoot
     comb = (rng.uniform() + np.arange(n)) / n
     return np.searchsorted(cumulative, comb)
 
@@ -70,7 +64,6 @@ def resample_subset(
     rng: np.random.Generator,
     injection_center: Optional[Tuple[float, float]] = None,
     injection_radius: Optional[float] = None,
-    backend=None,
 ) -> ResampleStats:
     """Resample the particles at ``indices`` in place.
 
@@ -97,7 +90,7 @@ def resample_subset(
     subset_weights = particles.weights[indices]
     subset_mass = float(subset_weights.sum())
 
-    drawn = systematic_resample_indices(subset_weights, m, rng, backend=backend)
+    drawn = systematic_resample_indices(subset_weights, m, rng)
     source_idx = indices[drawn]
 
     new_xs = particles.xs[source_idx].copy()

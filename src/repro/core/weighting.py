@@ -136,10 +136,10 @@ def reweight_in_place(
     is full trust, values toward 0 flatten the update so the reading
     barely moves the particles.
 
-    ``backend`` routes the update through an accelerated
-    :class:`repro.core.backend.ArrayBackend` kernel when one is supplied
-    and accelerated; the default (and any non-accelerated backend) runs
-    the float64 reference body below unchanged.
+    An accelerated ``backend`` (the ``fast``
+    :class:`repro.core.backend.FastNumpyBackend`) runs its float32
+    ``reweight`` instead; ``None`` and the ``default`` backend run the
+    float64 reference body below unchanged.
     """
     if backend is not None and backend.accelerated:
         backend.reweight(

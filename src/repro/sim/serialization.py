@@ -33,13 +33,14 @@ import numpy as np
 from repro.core.config import LocalizerConfig
 from repro.ioutil import atomic_write_bytes
 from repro.core.diagnostics import PopulationHealth
-from repro.core.estimator import SourceEstimate
+from repro.core.estimator import TRUNCATION_MIN_PARTICLES, SourceEstimate
 from repro.core.fusion import (
     AutoFusionRange,
     FixedFusionRange,
     FusionRangePolicy,
     InfiniteFusionRange,
 )
+from repro.core.meanshift import TRUNCATION_SIGMAS
 from repro.core.particles import ParticleSet
 from repro.eval.metrics import StepMetrics
 from repro.faults.serialization import (
@@ -78,10 +79,21 @@ FORMAT_VERSION = 1
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
+#: Retired localizer config keys whose value is now fixed in code: the
+#: estimate cache and the mean-shift truncation gate.  A document may
+#: carry one only at that value; any other value asked for a different
+#: kernel, and silently running this one would break resume parity.
+FIXED_CONFIG_VALUES: Dict[str, Any] = {
+    "estimate_cache": True,
+    "meanshift_truncation_sigmas": TRUNCATION_SIGMAS,
+    "meanshift_truncation_min_particles": TRUNCATION_MIN_PARTICLES,
+}
+
 #: Localizer config keys that older documents (committed streams,
 #: existing checkpoints) carry but the config no longer has: the grid
-#: selection knobs and the process-pool mean-shift knobs.  Loading drops
-#: exactly these; any other unknown key still fails.
+#: selection knobs, the process-pool mean-shift knobs (any value), and
+#: the keys of :data:`FIXED_CONFIG_VALUES`.  Loading drops exactly these;
+#: any other unknown key still fails.
 RETIRED_CONFIG_KEYS = frozenset(
     {
         "use_grid_index",
@@ -89,6 +101,7 @@ RETIRED_CONFIG_KEYS = frozenset(
         "grid_incremental_threshold",
         "meanshift_workers",
         "meanshift_tile_candidates",
+        *FIXED_CONFIG_VALUES,
     }
 )
 
@@ -299,6 +312,13 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     config_data = data.get("localizer_config")
     config = None
     if config_data is not None:
+        for key, fixed in FIXED_CONFIG_VALUES.items():
+            if key in config_data and config_data[key] != fixed:
+                raise ValueError(
+                    f"localizer_config {key}={config_data[key]!r} selects a "
+                    f"kernel this version no longer has (it always runs "
+                    f"{key}={fixed!r})"
+                )
         config_data = {
             key: value
             for key, value in config_data.items()

@@ -160,10 +160,11 @@ class TestLocalizerInstrumentation:
             monkeypatch.setattr(
                 owner, name, recording(label, getattr(owner, name))
             )
-        scenario = scenario_a(strengths=(50.0, 50.0), n_particles=500)
-        config = scenario.localizer_config.with_overrides(
-            backend=backend, meanshift_truncation_min_particles=min_particles
+        monkeypatch.setattr(
+            estimator_module, "TRUNCATION_MIN_PARTICLES", min_particles
         )
+        scenario = scenario_a(strengths=(50.0, 50.0), n_particles=500)
+        config = scenario.localizer_config.with_overrides(backend=backend)
         sink = InMemorySink()
         localizer = MultiSourceLocalizer(
             config, rng=np.random.default_rng(5), tracer=Tracer(sink)

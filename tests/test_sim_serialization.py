@@ -119,16 +119,36 @@ class TestFiles:
         "grid_incremental_threshold": 0.25,
         "meanshift_workers": 2,
         "meanshift_tile_candidates": 200_000,
+        "estimate_cache": True,
+        "meanshift_truncation_sigmas": 4.0,
+        "meanshift_truncation_min_particles": 4096,
     }
 
     @pytest.mark.parametrize("key", sorted(RETIRED_CONFIG_KEYS))
     def test_retired_grid_keys_are_dropped(self, key):
         # Committed streams and older checkpoints still carry the retired
-        # grid-selection and mean-shift pool knobs in their localizer config.
+        # grid-selection, mean-shift pool and fast-path knobs in their
+        # localizer config.
         doc = scenario_to_dict(scenario_a())
         doc["localizer_config"][key] = self.RETIRED_VALUES[key]
         restored = scenario_from_dict(doc)
         assert restored.localizer_config == scenario_a().localizer_config
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("estimate_cache", False),
+            ("meanshift_truncation_sigmas", 0.0),
+            ("meanshift_truncation_min_particles", 256),
+        ],
+    )
+    def test_retired_key_at_another_kernel_fails(self, key, value):
+        # The value asked for a kernel that is gone; loading it anyway
+        # would resume under a different one.
+        doc = scenario_to_dict(scenario_a())
+        doc["localizer_config"][key] = value
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(doc)
 
     def test_unknown_config_key_still_fails(self):
         doc = scenario_to_dict(scenario_a())
