@@ -97,6 +97,11 @@ from repro.viz.ascii_map import render_scenario
 
 logger = logging.getLogger(__name__)
 
+#: What loading a scenario document raises when its ``localizer_config``
+#: is refused: ``ValueError`` for a retired key at another value or an
+#: out-of-range value, ``TypeError`` for an unknown key.
+_REFUSED_DOCUMENT_ERRORS = (ValueError, TypeError)
+
 
 def configure_logging(verbose: int = 0, quiet: bool = False) -> None:
     """Wire stdlib logging for CLI use (the library never does this)."""
@@ -360,9 +365,13 @@ def cmd_replay(args) -> int:
     except StreamFormatError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    scenario = scenario_from_header(
-        header, backend=getattr(args, "backend", None)
-    )
+    try:
+        scenario = scenario_from_header(
+            header, backend=getattr(args, "backend", None)
+        )
+    except _REFUSED_DOCUMENT_ERRORS as exc:
+        print(f"{args.stream}: {exc}", file=sys.stderr)
+        return 1
     if args.no_faults:
         scenario = scenario.with_faults(None)
     scenario = _apply_robustness(scenario, args)
@@ -629,7 +638,11 @@ def cmd_export(args) -> int:
 def cmd_run_file(args) -> int:
     from repro.sim.serialization import load_scenario
 
-    scenario = load_scenario(args.path)
+    try:
+        scenario = load_scenario(args.path)
+    except _REFUSED_DOCUMENT_ERRORS as exc:
+        print(f"{args.path}: {exc}", file=sys.stderr)
+        return 1
     scenario = _apply_robustness(scenario, args)
     scenario = _apply_backend(scenario, args)
     _report_run(scenario, None, args)
@@ -656,6 +669,9 @@ def cmd_resume(args) -> int:
             )
         except CheckpointError as exc:
             print(str(exc), file=sys.stderr)
+            return 1
+        except _REFUSED_DOCUMENT_ERRORS as exc:
+            print(f"{args.checkpoint}: {exc}", file=sys.stderr)
             return 1
         print(session.scenario.describe())
         print(
@@ -699,21 +715,23 @@ def cmd_serve(args) -> int:
         if not path.exists():
             print(f"{path}: no such stream file", file=sys.stderr)
             return 1
-    checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-        prefix="repro-serve-"
-    )
+    try:
+        config = ServiceConfig(
+            checkpoint_dir=args.checkpoint_dir
+            or tempfile.mkdtemp(prefix="repro-serve-"),
+            n_shards=args.shards,
+            inline=args.inline,
+            checkpoint_every=args.checkpoint_every,
+            steps_per_call=args.steps_per_call,
+            step_timeout_seconds=args.step_timeout,
+            admission=AdmissionConfig(max_sessions=args.max_sessions),
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 1
     tracer, _ = _open_instrumentation(args)
     registry = MetricsRegistry()  # the summary always needs service.*
     ledger = _open_ledger(args)
-    config = ServiceConfig(
-        checkpoint_dir=checkpoint_dir,
-        n_shards=args.shards,
-        inline=args.inline,
-        checkpoint_every=args.checkpoint_every,
-        steps_per_call=args.steps_per_call,
-        step_timeout_seconds=args.step_timeout,
-        admission=AdmissionConfig(max_sessions=args.max_sessions),
-    )
 
     async def drive():
         service = LocalizationService(

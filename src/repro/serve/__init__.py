@@ -1,14 +1,13 @@
 """Multi-tenant serving front-end for streaming localization sessions.
 
 * :mod:`repro.serve.admission` -- quotas, token-bucket rate limits,
-  bounded ingest queues, typed load shedding.
+  typed load shedding.
 * :mod:`repro.serve.breaker` -- per-tenant circuit breakers and the
   deterministic exponential retry schedule.
 * :mod:`repro.serve.shard` -- the worker-side session host (many
   sessions per process, checkpoint-backed).
 * :mod:`repro.serve.service` -- the asyncio supervision tree tying it
-  together: deadlines, retries, resurrection, graceful degradation,
-  health endpoints.
+  together: deadlines, retries, resurrection, health endpoints.
 
 See ``docs/SERVING.md`` for the architecture and failure doctrine.
 """
@@ -17,8 +16,6 @@ from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
     Admitted,
-    BoundedQueue,
-    QueueFull,
     Rejected,
     TokenBucket,
     is_rejected,
@@ -40,11 +37,9 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "Admitted",
-    "BoundedQueue",
     "BreakerBoard",
     "CircuitBreaker",
     "LocalizationService",
-    "QueueFull",
     "Rejected",
     "ServiceConfig",
     "SessionHandle",

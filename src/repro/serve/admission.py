@@ -15,26 +15,18 @@ Three independent gates, applied in order by
 2. **rate** -- a per-tenant :class:`TokenBucket` caps session admissions
    per second, absorbing bursts up to the bucket capacity;
 3. **capacity** -- per-tenant and service-wide active-session quotas.
-
-Per-session ingest backpressure is the same shape one level down:
-:class:`BoundedQueue` refuses pushes beyond its capacity instead of
-growing without bound, so a slow consumer surfaces as typed shedding at
-the producer, not as unbounded memory.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Union
 
 __all__ = [
     "Admitted",
     "AdmissionController",
     "AdmissionConfig",
-    "BoundedQueue",
-    "QueueFull",
     "Rejected",
     "TokenBucket",
     "is_rejected",
@@ -57,7 +49,8 @@ class Rejected:
     """A typed shed decision -- the 503 that never hangs.
 
     ``reason`` is one of ``"tenant_quarantined"``, ``"rate_limited"``,
-    ``"tenant_quota"``, ``"service_capacity"``, ``"queue_full"``.
+    ``"tenant_quota"``, ``"service_capacity"``; the service adds its own
+    (``"bad_spec"``, ``"duplicate_session"``, ...).
     ``retry_after`` (seconds) is set when the condition is transient.
     """
 
@@ -70,58 +63,6 @@ class Rejected:
 
 def is_rejected(outcome: Union[Admitted, Rejected]) -> bool:
     return isinstance(outcome, Rejected)
-
-
-class QueueFull(RuntimeError):
-    """Raised by :meth:`BoundedQueue.push` when shedding is refused."""
-
-
-class BoundedQueue:
-    """A FIFO that refuses growth beyond ``capacity`` -- never blocks.
-
-    The property-based invariant (tested in
-    ``tests/test_serve_admission.py``): ``depth <= capacity`` holds after
-    *any* interleaving of pushes and pops, and a refused push always
-    surfaces as an explicit ``False`` (or :class:`QueueFull` from
-    :meth:`push_or_raise`), never as a silent drop or a wait.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._items: Deque[Any] = deque()
-        #: Total pushes refused over the queue's lifetime.
-        self.shed = 0
-
-    def push(self, item: Any) -> bool:
-        """Append if there is room; return whether the item was taken."""
-        if len(self._items) >= self.capacity:
-            self.shed += 1
-            return False
-        self._items.append(item)
-        return True
-
-    def push_or_raise(self, item: Any) -> None:
-        if not self.push(item):
-            raise QueueFull(
-                f"queue at capacity {self.capacity}; request shed"
-            )
-
-    def pop(self) -> Any:
-        if not self._items:
-            raise IndexError("pop from empty BoundedQueue")
-        return self._items.popleft()
-
-    @property
-    def depth(self) -> int:
-        return len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
 
 
 class TokenBucket:
@@ -186,8 +127,6 @@ class AdmissionConfig:
     tenant_rate: float = 50.0
     #: Burst capacity of the per-tenant token bucket.
     tenant_burst: float = 10.0
-    #: Ingest-queue capacity for each admitted session.
-    ingest_queue_capacity: int = 64
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -209,7 +148,6 @@ class _TenantState:
     quarantine_until: Optional[float] = None
     admitted: int = 0
     rejected: int = 0
-    queues: Dict[str, BoundedQueue] = field(default_factory=dict)
 
 
 class AdmissionController:
@@ -217,8 +155,6 @@ class AdmissionController:
 
     Pure and synchronous by design: the asyncio front-end calls it under
     its own locking, and property-based tests drive it with a fake clock.
-    The controller owns each admitted session's bounded ingest queue, so
-    queue shedding is counted next to admission shedding.
     """
 
     def __init__(
@@ -300,9 +236,6 @@ class AdmissionController:
         state.admitted += 1
         self._active_total += 1
         self._session_tenant[session_id] = tenant
-        state.queues[session_id] = BoundedQueue(
-            self.config.ingest_queue_capacity
-        )
         return Admitted(session_id=session_id, tenant=tenant, shard=shard)
 
     def release(self, session_id: str) -> None:
@@ -312,14 +245,7 @@ class AdmissionController:
             return
         state = self._tenants[tenant]
         state.active = max(0, state.active - 1)
-        state.queues.pop(session_id, None)
         self._active_total = max(0, self._active_total - 1)
-
-    def queue(self, session_id: str) -> Optional[BoundedQueue]:
-        tenant = self._session_tenant.get(session_id)
-        if tenant is None:
-            return None
-        return self._tenants[tenant].queues.get(session_id)
 
     # --- quarantine ----------------------------------------------------------
 
@@ -372,9 +298,6 @@ class AdmissionController:
                     "admitted": state.admitted,
                     "rejected": state.rejected,
                     "quarantined": self.tenant_quarantined(name),
-                    "queue_depths": {
-                        sid: q.depth for sid, q in state.queues.items()
-                    },
                 }
                 for name, state in self._tenants.items()
             },

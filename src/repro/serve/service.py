@@ -28,11 +28,7 @@ Failure handling is layered exactly as ISSUE PR 10 prescribes:
   **resurrection**: the shard pool is discarded (hard-kill deadline) and
   every active session re-opened from its last ``repro-checkpoint v1``
   snapshot -- bitwise-identical continuation by the resume-parity
-  contract;
-* under sustained pressure the service **degrades gracefully**: a
-  session can be stepped down to the ``fast`` backend with a widened
-  checkpoint cadence (and, for fresh opens, a reduced particle count),
-  each transition recorded in the trace and the service manifest.
+  contract.
 
 Everything observable flows through ``service.*`` metrics
 (:mod:`repro.obs.metrics`) and trace events, documented in
@@ -78,6 +74,9 @@ __all__ = [
     "SessionHandle",
     "StepFailed",
 ]
+
+#: The keys a caller may put in a session spec (``submit``).
+_SPEC_KEYS = frozenset({"stream_path", "scenario", "seed", "checkpoint_every"})
 
 _HOST_FNS = {
     "open": host_open,
@@ -126,15 +125,8 @@ class ServiceConfig:
     breaker_failure_threshold: int = 3
     #: Seconds an open breaker waits before its half-open probe.
     breaker_recovery_seconds: float = 30.0
-    #: Admission limits (quotas, rates, ingest-queue capacity).
+    #: Admission limits (quotas, rates).
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: Backend sessions are stepped down to when degraded.
-    degrade_backend: str = "fast"
-    #: Multiplier applied to ``checkpoint_every`` per degrade level.
-    degrade_checkpoint_factor: int = 4
-    #: Particle-count fraction for degraded *fresh* opens (resumes keep
-    #: their particle arrays; counts cannot change mid-run).
-    degrade_particle_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -142,6 +134,15 @@ class ServiceConfig:
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
+        if self.steps_per_call < 1:
+            raise ValueError(
+                f"steps_per_call must be >= 1, got {self.steps_per_call}"
+            )
+        if not self.step_timeout_seconds > 0:
+            raise ValueError(
+                f"step_timeout_seconds must be > 0, "
+                f"got {self.step_timeout_seconds}"
             )
         if self.max_step_attempts < 1:
             raise ValueError(
@@ -163,7 +164,6 @@ class SessionHandle:
     step_index: int = 0
     n_time_steps: Optional[int] = None
     finished: bool = False
-    degrade_level: int = 0
     resurrections: int = 0
     retries: int = 0
 
@@ -235,8 +235,6 @@ class LocalizationService:
             for i in range(self.config.n_shards)
         ]
         self.sessions: Dict[str, SessionHandle] = {}
-        #: Degradation transitions, in order (also traced + manifested).
-        self.degradations: List[Dict[str, Any]] = []
         self._started_unix = time.time()
         self._health_server: Optional[asyncio.AbstractServer] = None
 
@@ -257,8 +255,14 @@ class LocalizationService:
         """Admit and open one session; sheds with a typed rejection.
 
         ``spec`` is the :meth:`repro.serve.shard.ShardHost.open` spec
-        minus the checkpoint fields, which the service owns.
+        minus ``checkpoint_path``, which the service owns: exactly one
+        of ``stream_path``/``scenario``, optionally ``seed`` and
+        ``checkpoint_every``.  Any other shape, or a document the host
+        refuses to open, is a ``bad_spec`` rejection (400).
         """
+        problem = _spec_problem(spec)
+        if problem is not None:
+            return self._bad_spec(tenant, session_id, problem)
         if session_id in self.sessions:
             return Rejected(
                 reason="duplicate_session",
@@ -290,6 +294,11 @@ class LocalizationService:
             opened = await self._robust_call(
                 handle, "open", session_id, spec
             )
+        except (ValueError, TypeError) as exc:
+            # The host refused the document itself (say, an out-of-range
+            # localizer_config value): the caller's error, not the shard's.
+            self.admission.release(session_id)
+            return self._bad_spec(tenant, session_id, str(exc))
         except StepFailed:
             self.admission.release(session_id)
             self.metrics.counter("service.rejected").inc()
@@ -317,61 +326,10 @@ class LocalizationService:
             session_id=session_id, tenant=tenant, shard=shard_index
         )
 
-    def request_steps(
-        self, session_id: str, n_steps: int = 1
-    ) -> Union[Admitted, Rejected]:
-        """Enqueue a step request on the session's bounded ingest queue.
-
-        Backpressure surfaces here: a full queue sheds the request with a
-        typed 503 instead of buffering without bound or blocking.
-        """
-        handle = self._handle(session_id)
-        queue = self.admission.queue(session_id)
-        if queue is None:
-            return Rejected(
-                reason="not_admitted",
-                detail=f"session {session_id!r} holds no admission slot",
-                status=404,
-                tenant=handle.tenant,
-            )
-        if not queue.push(int(n_steps)):
-            self.metrics.counter("service.shed_steps").inc()
-            self.tracer.emit(
-                "service_shed",
-                session_id=session_id,
-                queue_depth=queue.depth,
-            )
-            return Rejected(
-                reason="queue_full",
-                detail=(
-                    f"ingest queue for {session_id!r} at capacity "
-                    f"{queue.capacity}"
-                ),
-                retry_after=0.1,
-                tenant=handle.tenant,
-            )
-        self.metrics.gauge("service.ingest_depth").set(queue.depth)
-        return Admitted(
-            session_id=session_id,
-            tenant=handle.tenant,
-            shard=handle.shard,
-            status=202,
-        )
-
-    async def pump(self, session_id: str) -> SessionHandle:
-        """Drain the session's ingest queue, stepping the worker."""
-        handle = self._handle(session_id)
-        queue = self.admission.queue(session_id)
-        while queue is not None and queue and not handle.finished:
-            n_steps = queue.pop()
-            self.metrics.gauge("service.ingest_depth").set(queue.depth)
-            await self._advance(handle, n_steps)
-        return handle
-
     async def advance(
         self, session_id: str, n_steps: Optional[int] = None
     ) -> SessionHandle:
-        """Step the session directly (no queue), honoring the deadline."""
+        """Step the session, honoring the deadline."""
         handle = self._handle(session_id)
         await self._advance(
             handle,
@@ -397,6 +355,9 @@ class LocalizationService:
         )
         self.metrics.histogram("service.step_seconds").observe(
             self._clock() - start
+        )
+        self.metrics.histogram("service.session_compute_seconds").observe(
+            stepped["compute_seconds"]
         )
         handle.step_index = stepped["step_index"]
         handle.finished = stepped["finished"]
@@ -479,64 +440,24 @@ class LocalizationService:
         )
         return outcome
 
-    # --- degradation ---------------------------------------------------------
-
-    async def degrade(
-        self, session_id: str, reason: str = "overload"
-    ) -> SessionHandle:
-        """Step one session down the degradation ladder.
-
-        Level 1: switch to the ``fast`` backend and widen the checkpoint
-        cadence.  Level 2+: additionally halve the particle count for
-        any future *fresh* open (a resumed session keeps its arrays).
-        The transition is traced and recorded for the service manifest.
-        """
-        handle = self._handle(session_id)
-        handle.degrade_level += 1
-        spec = dict(handle.spec)
-        spec["backend_override"] = self.config.degrade_backend
-        spec["checkpoint_every"] = int(
-            spec.get("checkpoint_every", self.config.checkpoint_every)
-        ) * self.config.degrade_checkpoint_factor
-        if handle.degrade_level >= 2 and spec.get("scenario") is not None:
-            particles = spec["scenario"]["localizer_config"]["n_particles"]
-            spec["n_particles"] = max(
-                1, int(particles * self.config.degrade_particle_fraction)
-            )
-        handle.spec = spec
-        # Cycle through the checkpoint so the new backend/cadence apply.
-        if handle.state == "active":
-            await self._robust_call(handle, "evict", session_id)
-            opened = await self._robust_call(
-                handle, "open", session_id, spec
-            )
-            handle.step_index = opened["step_index"]
-            handle.finished = opened["finished"]
-        transition = {
-            "session_id": session_id,
-            "level": handle.degrade_level,
-            "reason": reason,
-            "backend": spec["backend_override"],
-            "checkpoint_every": spec["checkpoint_every"],
-            "step": handle.step_index,
-        }
-        self.degradations.append(transition)
-        self.metrics.counter("service.degraded").inc()
-        self.tracer.emit("service_degrade", **transition)
-        return handle
-
     # --- the robust call core ------------------------------------------------
 
     async def _robust_call(
         self, handle: SessionHandle, fn_name: str, *args
     ) -> Any:
-        """Deadline + retry + resurrect around one shard call."""
+        """Deadline + retry + resurrect around one shard call.
+
+        A successful step call records its wait for the shard lock and
+        the call itself, the two outer layers of ``service.step_seconds``.
+        """
         shard = self.shards[handle.shard]
         last_error = "unknown"
         for attempt in range(1, self.config.max_step_attempts + 1):
+            queued = self._clock()
             async with shard.lock:
+                called = self._clock()
                 try:
-                    return await shard.call(
+                    result = await shard.call(
                         fn_name,
                         *args,
                         timeout=self.config.step_timeout_seconds,
@@ -552,6 +473,15 @@ class LocalizationService:
                     # kill): resurrect re-opens it, then retry.
                     last_error = f"session missing in worker: {exc}"
                     await self._resurrect_shard(shard, exclude=fn_name == "open")
+                else:
+                    if fn_name == "step":
+                        self.metrics.histogram(
+                            "service.queue_wait_seconds"
+                        ).observe(called - queued)
+                        self.metrics.histogram(
+                            "service.shard_call_seconds"
+                        ).observe(self._clock() - called)
+                    return result
             if attempt < self.config.max_step_attempts:
                 handle.retries += 1
                 self.metrics.counter("service.step_retries").inc()
@@ -637,7 +567,6 @@ class LocalizationService:
             "sessions": states,
             "admission": self.admission.snapshot(),
             "breakers": self.breakers.snapshot(),
-            "degradations": len(self.degradations),
         }
 
     def ready(self) -> Dict[str, Any]:
@@ -692,7 +621,6 @@ class LocalizationService:
             "service.restored",
             "service.resurrected",
             "service.completed",
-            "service.degraded",
         ):
             entry = snapshot.get(key)
             if entry is not None:
@@ -710,7 +638,6 @@ class LocalizationService:
             context={
                 "n_shards": len(self.shards),
                 "inline": self.config.inline,
-                "degradations": list(self.degradations),
                 "sessions": len(self.sessions),
             },
         )
@@ -733,3 +660,24 @@ class LocalizationService:
         if handle is None:
             raise KeyError(f"unknown session {session_id!r}")
         return handle
+
+    def _bad_spec(
+        self, tenant: str, session_id: str, problem: str
+    ) -> Rejected:
+        self.metrics.counter("service.rejected").inc()
+        return Rejected(
+            reason="bad_spec",
+            detail=f"session {session_id!r}: {problem}",
+            status=400,
+            tenant=tenant,
+        )
+
+
+def _spec_problem(spec: Dict[str, Any]) -> Optional[str]:
+    """Why ``spec`` is not a submittable session spec (None if it is)."""
+    unknown = sorted(set(spec) - _SPEC_KEYS)
+    if unknown:
+        return f"unknown spec keys {unknown}"
+    if (spec.get("stream_path") is None) == (spec.get("scenario") is None):
+        return "a spec needs exactly one of 'stream_path' and 'scenario'"
+    return None

@@ -29,10 +29,11 @@ Self-healing rests on two properties of this layout:
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.sim.serialization import step_record_to_dict
+from repro.sim.serialization import scenario_from_dict, step_record_to_dict
 from repro.sim.session import LocalizerSession
 from repro.streams.replay import open_replay_session
 
@@ -65,10 +66,7 @@ class ShardHost:
         * ``scenario`` -- a scenario document for a live simulator run;
         * ``seed`` -- run seed (defaults to the stream header's);
         * ``checkpoint_path`` -- where the session snapshots itself;
-        * ``checkpoint_every`` -- snapshot cadence in steps (>= 1);
-        * ``backend_override`` -- array backend to force (degradation);
-        * ``n_particles`` -- particle-count override (degradation;
-          applies to fresh opens only, never to a checkpoint resume).
+        * ``checkpoint_every`` -- snapshot cadence in steps (>= 1).
 
         If ``checkpoint_path`` exists the session resumes from it --
         that one rule is the whole resurrection protocol.
@@ -77,14 +75,12 @@ class ShardHost:
             raise ValueError(f"session {session_id!r} already hosted")
         checkpoint_path = spec.get("checkpoint_path")
         checkpoint_every = int(spec.get("checkpoint_every", 1))
-        backend_override = spec.get("backend_override")
         resumed = False
         if checkpoint_path is not None and Path(checkpoint_path).exists():
             session = LocalizerSession.resume_from_checkpoint(
                 checkpoint_path,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
-                backend_override=backend_override,
                 stream_path=spec.get("stream_path"),
             )
             resumed = True
@@ -92,35 +88,12 @@ class ShardHost:
             session = open_replay_session(
                 spec["stream_path"],
                 seed=spec.get("seed"),
-                backend=backend_override,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
             )
         else:
-            from repro.sim.serialization import scenario_from_dict
-
-            scenario = scenario_from_dict(spec["scenario"])
-            if backend_override is not None:
-                import dataclasses
-
-                scenario = dataclasses.replace(
-                    scenario,
-                    localizer_config=dataclasses.replace(
-                        scenario.localizer_config, backend=backend_override
-                    ),
-                )
-            if spec.get("n_particles") is not None:
-                import dataclasses
-
-                scenario = dataclasses.replace(
-                    scenario,
-                    localizer_config=dataclasses.replace(
-                        scenario.localizer_config,
-                        n_particles=int(spec["n_particles"]),
-                    ),
-                )
             session = LocalizerSession(
-                scenario,
+                scenario_from_dict(spec["scenario"]),
                 seed=int(spec.get("seed", 0)),
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
@@ -136,8 +109,13 @@ class ShardHost:
         }
 
     def step(self, session_id: str, n_steps: int = 1) -> Dict[str, Any]:
-        """Advance up to ``n_steps``; stops early at completion."""
+        """Advance up to ``n_steps``; stops early at completion.
+
+        ``compute_seconds`` is the stepping loop's own time, so the
+        service can tell session compute apart from the call around it.
+        """
         session = self._session(session_id)
+        start = time.perf_counter()
         advanced = 0
         while advanced < n_steps and not session.finished:
             session.step()
@@ -145,6 +123,7 @@ class ShardHost:
         return {
             "session_id": session_id,
             "advanced": advanced,
+            "compute_seconds": time.perf_counter() - start,
             "step_index": session.step_index,
             "finished": session.finished,
             "pid": os.getpid(),

@@ -247,3 +247,70 @@ class TestRecordReplayCli:
                      "--stream", "live"]) == 1
         err = capsys.readouterr().err
         assert "no entries" in err
+
+
+#: ``localizer_config`` edits every document loader must refuse.  The
+#: key doubles as what the one-line message has to name.
+REFUSED_CONFIGS = [
+    pytest.param("estimate_cache", False, id="retired-key-other-value"),
+    pytest.param("bogus_knob", 1, id="unknown-key"),
+    pytest.param("n_particles", 0, id="out-of-range"),
+]
+
+
+class TestRefusedDocuments:
+    """A refused scenario document is one stderr line and exit 1."""
+
+    @staticmethod
+    def assert_one_line(capsys, key):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert key in err
+
+    @pytest.mark.parametrize("key, value", REFUSED_CONFIGS)
+    def test_run_file(self, tmp_path, capsys, key, value):
+        import json as jsonlib
+
+        path = tmp_path / "a.json"
+        assert main(["export", "a", "--out", str(path)]) == 0
+        doc = jsonlib.loads(path.read_text())
+        doc["localizer_config"][key] = value
+        path.write_text(jsonlib.dumps(doc))
+        capsys.readouterr()
+        assert main(["run-file", str(path), "--repeats", "1"]) == 1
+        self.assert_one_line(capsys, key)
+
+    @pytest.mark.parametrize("key, value", REFUSED_CONFIGS)
+    def test_replay(self, tmp_path, capsys, key, value):
+        import json as jsonlib
+
+        stream = tmp_path / "run.stream.jsonl"
+        assert main(["record", "a", "--out", str(stream),
+                     "--steps", "2", "--seed", "7"]) == 0
+        lines = stream.read_text().splitlines()
+        header = jsonlib.loads(lines[0])
+        header["scenario"]["localizer_config"][key] = value
+        lines[0] = jsonlib.dumps(header)
+        stream.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(stream)]) == 1
+        self.assert_one_line(capsys, key)
+
+    @pytest.mark.parametrize("key, value", REFUSED_CONFIGS)
+    def test_resume(self, tmp_path, capsys, key, value):
+        import json as jsonlib
+
+        from repro.sim.scenarios import scenario_a
+        from repro.sim.session import LocalizerSession
+
+        session = LocalizerSession(
+            scenario_a(n_particles=300, n_time_steps=3), seed=3
+        )
+        session.step()
+        path = tmp_path / "mid.ckpt.json"
+        session.save_checkpoint(path)
+        doc = jsonlib.loads(path.read_text())
+        doc["state"]["session"]["scenario"]["localizer_config"][key] = value
+        path.write_text(jsonlib.dumps(doc))
+        assert main(["resume", str(path)]) == 1
+        self.assert_one_line(capsys, key)

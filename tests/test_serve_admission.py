@@ -1,9 +1,7 @@
 """Property-based tests for the admission-control state machine.
 
-The three invariants ISSUE PR 10 pins:
+The invariants pinned here:
 
-* a bounded ingest queue **never** exceeds its capacity, under any
-  interleaving of pushes and pops;
 * a shed request **always** gets a typed rejection -- never a hang,
   never a silent drop;
 * evict -> restore round-trips are **bitwise** (the resume-parity
@@ -20,8 +18,6 @@ from repro.serve import (
     AdmissionConfig,
     AdmissionController,
     Admitted,
-    BoundedQueue,
-    QueueFull,
     Rejected,
     TokenBucket,
     is_rejected,
@@ -39,53 +35,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class TestBoundedQueueProperties:
-    @given(
-        capacity=st.integers(min_value=1, max_value=8),
-        ops=st.lists(
-            st.one_of(st.just("pop"), st.integers(min_value=0, max_value=99)),
-            max_size=200,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_depth_never_exceeds_capacity(self, capacity, ops):
-        queue = BoundedQueue(capacity)
-        accepted = 0
-        popped = 0
-        for op in ops:
-            if op == "pop":
-                if queue.depth:
-                    queue.pop()
-                    popped += 1
-            else:
-                if queue.push(op):
-                    accepted += 1
-            assert 0 <= queue.depth <= capacity
-        # Conservation: everything accepted is either popped or present.
-        assert accepted == popped + queue.depth
-
-    @given(capacity=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=50, deadline=None)
-    def test_shed_push_is_always_typed(self, capacity):
-        queue = BoundedQueue(capacity)
-        for i in range(capacity):
-            assert queue.push(i) is True
-        # Every over-capacity push returns False and counts as shed.
-        for i in range(3):
-            assert queue.push("extra") is False
-        assert queue.shed == 3
-        with pytest.raises(QueueFull):
-            queue.push_or_raise("extra")
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            BoundedQueue(1).pop()
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            BoundedQueue(0)
 
 
 class TestTokenBucketProperties:
@@ -128,7 +77,6 @@ def controller(clock=None, **overrides):
         tenant_max_sessions=4,
         tenant_rate=1000.0,
         tenant_burst=1000.0,
-        ingest_queue_capacity=4,
     )
     defaults.update(overrides)
     return AdmissionController(
@@ -206,13 +154,6 @@ class TestAdmissionControllerProperties:
         clock.advance(10.1)
         assert isinstance(ctl.admit("t", "a"), Admitted)
 
-    def test_admitted_session_owns_a_bounded_queue(self):
-        ctl = controller(ingest_queue_capacity=2)
-        ctl.admit("t", "a")
-        queue = ctl.queue("a")
-        assert queue is not None and queue.capacity == 2
-        assert ctl.queue("nonexistent") is None
-
     def test_snapshot_shape(self):
         ctl = controller()
         ctl.admit("t", "a")
@@ -220,7 +161,6 @@ class TestAdmissionControllerProperties:
         snap = ctl.snapshot()
         assert snap["active_sessions"] == 2
         assert snap["tenants"]["t"]["admitted"] == 2
-        assert set(snap["tenants"]["t"]["queue_depths"]) == {"a", "b"}
 
 
 class TestEvictRestoreBitwise:

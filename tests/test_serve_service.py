@@ -1,8 +1,8 @@
 """Inline-mode tests for the serving front-end.
 
 Everything here runs the service with in-process shards (``inline=True``)
-so behavior -- admission, backpressure, breakers, degradation, health --
-is tested without process scheduling noise.  The process-mode chaos
+so behavior -- admission, spec checks, breakers, health -- is tested
+without process scheduling noise.  The process-mode chaos
 contract lives in ``test_serve_chaos.py``.
 """
 
@@ -13,8 +13,6 @@ import pytest
 
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import InMemorySink
-from repro.obs.trace import Tracer
 from repro.serve import (
     AdmissionConfig,
     Admitted,
@@ -105,6 +103,82 @@ class TestServiceBasics:
         assert is_rejected(dup) and dup.status == 409
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps_per_call", 0),
+            ("steps_per_call", -1),
+            ("step_timeout_seconds", 0.0),
+            ("step_timeout_seconds", -5.0),
+        ],
+    )
+    def test_refuses_values_that_would_hang_or_never_run(
+        self, tmp_path, field, value
+    ):
+        # steps_per_call=0 made run_to_completion loop forever.
+        with pytest.raises(ValueError, match=field):
+            service_config(tmp_path, **{field: value})
+
+
+class TestBadSpec:
+    """A spec the service cannot host is a 400 that frees its slot."""
+
+    @staticmethod
+    def submit_one(tmp_path, spec):
+        async def main():
+            service = LocalizationService(service_config(tmp_path))
+            hosts = [shard.host for shard in service.shards]
+            outcome = await service.submit("t", "s", spec)
+            kept = all(
+                shard.host is host
+                for shard, host in zip(service.shards, hosts)
+            )
+            active = service.admission.active_sessions
+            registered = dict(service.sessions)
+            await service.close()
+            return outcome, kept, active, registered
+
+        outcome, kept, active, registered = run(main())
+        assert is_rejected(outcome)
+        assert (outcome.reason, outcome.status) == ("bad_spec", 400)
+        assert active == 0 and registered == {}
+        assert kept  # a caller's error discards no shard
+        return outcome
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_particles", 0), ("bogus_knob", 1)],
+        ids=["out-of-range", "unknown-key"],
+    )
+    def test_refused_localizer_config(self, tmp_path, key, value):
+        spec = spec_for()
+        spec["scenario"]["localizer_config"][key] = value
+        outcome = self.submit_one(tmp_path, spec)
+        assert key in outcome.detail
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"seed": 1},
+            {**spec_for(), "stream_path": "golden.stream.jsonl"},
+        ],
+        ids=["neither", "both"],
+    )
+    def test_needs_exactly_one_source(self, tmp_path, spec):
+        outcome = self.submit_one(tmp_path, spec)
+        assert "exactly one" in outcome.detail
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"backend_override": "fast"}, {"n_particles": 10}],
+        ids=["backend_override", "n_particles"],
+    )
+    def test_retired_override_keys_fail_loudly(self, tmp_path, extra):
+        outcome = self.submit_one(tmp_path, {**spec_for(), **extra})
+        assert next(iter(extra)) in outcome.detail
+
+
 class TestSheddingUnderLoad:
     def test_2x_overload_sheds_typed_and_never_hangs(self, tmp_path):
         """The acceptance bar: 2x capacity -> typed shed, zero hangs."""
@@ -146,31 +220,6 @@ class TestSheddingUnderLoad:
         assert len(rejected) == capacity
         assert all(r.status in (429, 503) for r in rejected)
         assert all(r.reason for r in rejected)
-
-    def test_ingest_queue_backpressure(self, tmp_path):
-        async def main():
-            service = LocalizationService(
-                service_config(
-                    tmp_path,
-                    admission=AdmissionConfig(
-                        ingest_queue_capacity=2, tenant_rate=1e6,
-                        tenant_burst=1e6,
-                    ),
-                )
-            )
-            await service.submit("t", "s", spec_for())
-            outcomes = [service.request_steps("s", 1) for _ in range(4)]
-            pumped = await service.pump("s")
-            await service.close()
-            return outcomes, pumped
-
-        outcomes, pumped = run(main())
-        accepted = [o for o in outcomes if isinstance(o, Admitted)]
-        shed = [o for o in outcomes if isinstance(o, Rejected)]
-        assert len(accepted) == 2
-        assert len(shed) == 2
-        assert all(o.reason == "queue_full" for o in shed)
-        assert pumped.step_index == 2  # exactly the accepted requests ran
 
 
 class TestBreakerAndQuarantine:
@@ -225,54 +274,6 @@ class TestBreakerAndQuarantine:
             return state
 
         assert run(main()) == "closed"
-
-
-class TestDegradation:
-    def test_degrade_switches_backend_and_widens_checkpoints(
-        self, tmp_path
-    ):
-        sink = InMemorySink()
-
-        async def main():
-            service = LocalizationService(
-                service_config(tmp_path, n_shards=1),
-                tracer=Tracer(sink),
-            )
-            await service.submit("t", "s", spec_for(seed=4))
-            await service.advance("s", 2)
-            handle = await service.degrade("s", reason="overload")
-            result = await service.run_to_completion("s")
-            manifest = service.manifest()
-            await service.close()
-            return handle, result, manifest
-
-        handle, result, manifest = run(main())
-        assert handle.degrade_level == 1
-        assert handle.spec["backend_override"] == "fast"
-        assert handle.spec["checkpoint_every"] == 4  # 1 * factor
-        assert result["finished"]
-        # The transition is traced and lands in the service manifest.
-        events = [r for r in sink.records if r["type"] == "service_degrade"]
-        assert len(events) == 1
-        assert events[0]["backend"] == "fast"
-        assert manifest.context["degradations"][0]["session_id"] == "s"
-        assert manifest.context["degradations"][0]["reason"] == "overload"
-
-    def test_second_degrade_level_reduces_particles_in_spec(self, tmp_path):
-        async def main():
-            service = LocalizationService(
-                service_config(tmp_path, n_shards=1)
-            )
-            await service.submit("t", "s", spec_for())
-            await service.degrade("s")
-            handle = await service.degrade("s")
-            await service.close()
-            return handle
-
-        handle = run(main())
-        assert handle.degrade_level == 2
-        original = tiny_scenario().localizer_config.n_particles
-        assert handle.spec["n_particles"] == max(1, original // 2)
 
 
 class TestHealthAndMetrics:
@@ -348,6 +349,11 @@ class TestHealthAndMetrics:
         assert snap["service.completed"]["value"] == 1
         assert snap["service.step_seconds"]["count"] > 0
         assert "p99" in snap["service.step_seconds"]
+        # The split of a step: lock wait, shard call, session compute --
+        # one observation each per step call.
+        steps = snap["service.step_seconds"]["count"]
+        for layer in ("queue_wait", "shard_call", "session_compute"):
+            assert snap[f"service.{layer}_seconds"]["count"] == steps
 
     def test_manifest_lands_in_ledger_on_close(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger")
